@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import realify
 from .circulant import Circulant
-from .dft import idft
+from .dft import idft, next_pow2
 from .errors import DimensionMismatchError, SingularMatrixError
 from .toeplitz import Toeplitz
 
@@ -55,10 +55,10 @@ def strang(T: Toeplitz | Circulant) -> Circulant:
     _require_square(T.shape, "the Strang")
     n = T.shape[0]
     t = T.t
-    c = np.zeros(n, dtype=t.dtype)
+    c = np.empty(n, dtype=t.dtype)
     half = n // 2
-    for j in range(n):
-        c[j] = t[j + n - 1] if j <= half else t[j - 1]  # t[j-1] holds t_{j-n}
+    c[: half + 1] = t[n - 1 : n + half]
+    c[half + 1 :] = t[half : n - 1]  # t[j-1] holds t_{j-n}
     return Circulant(c)
 
 
@@ -84,19 +84,17 @@ def optimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
         raise ValueError("optimal expects a matrix")
     _require_square(A.shape, "the optimal")
     n = A.shape[0]
-    c = np.array(
-        [np.trace(A, offset=-k) + np.trace(A, offset=n - k) for k in range(n)]
-    )
-    return Circulant(c / n)
+    lags = np.subtract.outer(np.arange(n), np.arange(n))
+    return Circulant(_fold(A.ravel(), lags.ravel(), n) / n)
 
 
 def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
     """Circulant minimizing ||I - inv(C) A||_F.
 
     Requires ev(optimal(A)) to be nonzero throughout.  For Toeplitz input
-    the Gram part ev(optimal(A A*)) is accumulated by applying A* and then
-    A to the unit vectors with fast matvecs, so no dense n-by-n product is
-    ever formed.
+    the Gram part ev(optimal(A A*)) is computed from the diagonal vector
+    alone by FFT correlations in O(n log n) (see _gram_projection_ev), so
+    neither a dense n-by-n product nor any matvec is ever formed.
     """
     if isinstance(A, (Toeplitz, Circulant)):
         _require_square(A.shape, "the superoptimal")
@@ -122,18 +120,32 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
 
 
 def _gram_projection_ev(T: Toeplitz) -> np.ndarray:
-    """ev(optimal(T T*)) via column-by-column fast products."""
+    """ev(optimal(T T*)) of a square Toeplitz T from t alone, in O(n log n).
+
+    The diagonal pair (p, q) of (T T*)[i, k] = sum_j t_{i-j} conj(t_{k-j})
+    lands on lag s = p - q, max(0, n - max(0, p, q) + min(0, p, q)) times.
+    With P = t[d >= 0], N = t[d < 0] and corr(X, Y)[s] = sum_u X[u+s] conj(Y[u])
+    the weighted sum at lag s >= 0 is corr((n-d) P, P) + corr(N, (n+d) N)
+    + max(0, n-s) corr(P, N), and lag -s is its conjugate (T T* is Hermitian).
+    """
     n = T.shape[0]
-    TH = T.H
-    c = np.zeros(n, dtype=np.complex128)
-    e = np.zeros(n)
-    rows = np.arange(n)
-    for j in range(n):
-        e[j] = 1.0
-        col = T.matvec(TH.matvec(e))
-        e[j] = 0.0
-        np.add.at(c, (rows - j) % n, col)
-    return np.fft.fft(c / n)
+    d = np.arange(1 - n, n)
+    P = np.where(d >= 0, T.t, 0)
+    N = T.t - P
+    F = np.fft.fft([P, (n - d) * P, N, (n + d) * N], next_pow2(4 * n - 3))
+    same, mixed = np.fft.ifft(
+        [F[1] * np.conj(F[0]) + F[2] * np.conj(F[3]), F[0] * np.conj(F[2])]
+    )[:, : 2 * n - 1]  # lags 0..2n-2, unwrapped as the length is >= 4n-3
+    r = same + np.maximum(n - np.arange(2 * n - 1), 0) * mixed
+    r = np.concatenate([np.conj(r[:0:-1]), r])  # lags 2-2n..2n-2
+    return np.fft.fft(_fold(r, np.arange(2 - 2 * n, 2 * n - 1), n) / n)
+
+
+def _fold(values, lags, n):
+    """Sum `values` into n bins by lag mod n; bincount takes real weights only."""
+    bins = lags % n
+    c = np.bincount(bins, values.real, n)
+    return c + 1j * np.bincount(bins, values.imag, n) if np.iscomplexobj(values) else c
 
 
 _registry_lock = threading.Lock()

@@ -166,8 +166,9 @@ def toep_lstsq(T: Toeplitz, b, rtol: float = LSTSQ_RTOL) -> np.ndarray:
 def _cgls(T: Toeplitz, b, rtol, real):
     m, n = T.shape
     TH = T.H
-    x = np.zeros(n, dtype=np.complex128)
-    r = b.astype(np.complex128)
+    dtype = np.result_type(T.dtype, b.dtype, np.float64)
+    x = np.zeros(n, dtype=dtype)
+    r = b.astype(dtype)
     s = TH.matvec(r)
     p = s.copy()
     gamma = np.real(np.vdot(s, s))

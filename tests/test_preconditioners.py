@@ -3,7 +3,9 @@ import pytest
 
 from structmat import (
     Circulant,
+    Config,
     DimensionMismatchError,
+    EmbeddingPolicy,
     SingularMatrixError,
     Toeplitz,
     optimal,
@@ -13,6 +15,8 @@ from structmat import (
     strang,
     superoptimal,
 )
+
+from structmat.preconditioners import _gram_projection_ev
 
 from conftest import dense_circulant, random_complex, rel_err
 
@@ -35,6 +39,22 @@ def projection_oracle(A):
     return np.array(coeffs)
 
 
+def gram_projection_by_unit_vectors(T):
+    """ev(optimal(T T*)) column by column: T T* e_j via two fast matvecs per
+    unit vector, folded onto the circulant lags (the O(n^2 log n) reference)."""
+    n = T.shape[0]
+    TH = T.H
+    c = np.zeros(n, dtype=np.complex128)
+    e = np.zeros(n)
+    rows = np.arange(n)
+    for j in range(n):
+        e[j] = 1.0
+        col = T.matvec(TH.matvec(e))
+        e[j] = 0.0
+        np.add.at(c, (rows - j) % n, col)
+    return np.fft.fft(c / n)
+
+
 def frob2_identity_residual(C: Circulant, A: np.ndarray) -> float:
     return float(np.sum(np.abs(np.eye(A.shape[0]) - C.solve(A)) ** 2))
 
@@ -51,6 +71,21 @@ def test_strang_fixed_point_on_circulants():
     assert np.array_equal(got.col, C.col)
     even = Circulant([3.0, 1.0, -2.0, 1.0])  # t_{n/2} = t_{-n/2} by symmetry
     assert np.array_equal(strang(even.to_toeplitz()).col, even.col)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 13])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_strang_matches_per_diagonal_rule(n, complex_entries):
+    rng = np.random.default_rng(n)
+    t = rng.standard_normal(2 * n - 1)
+    if complex_entries:
+        t = t + 1j * rng.standard_normal(2 * n - 1)
+    T = Toeplitz.from_diagonals(t, n, n)
+    # c_j = t_j up to the midpoint (inclusive for even n), t_{j-n} above it
+    want = [t[j + n - 1] if j <= n // 2 else t[j - 1] for j in range(n)]
+    got = strang(T).col
+    assert got.dtype == t.dtype
+    assert np.array_equal(got, want)
 
 
 def test_strang_requires_square_toeplitz():
@@ -94,6 +129,17 @@ def test_optimal_toeplitz_formula_matches_dense_path():
         assert np.max(np.abs(fast.col - dense.col)) <= 1e-12 * max(
             1.0, np.max(np.abs(dense.col))
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 13])
+def test_optimal_dense_matches_projection_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    A = random_complex(rng, n, n)
+    got = optimal(A).col
+    assert rel_err(got, projection_oracle(A)) <= 1e-13
+    real = optimal(A.real).col
+    assert not np.iscomplexobj(real)
+    assert rel_err(real, projection_oracle(A.real)) <= 1e-13
 
 
 def test_optimal_is_frobenius_minimizer():
@@ -159,6 +205,42 @@ def test_superoptimal_toeplitz_path_matches_dense_path():
     assert np.max(np.abs(fast.col - dense.col)) <= 1e-10 * max(
         1.0, np.max(np.abs(dense.col))
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_gram_projection_matches_dense_oracle(n, complex_entries):
+    rng = np.random.default_rng(100 + n)
+    t = rng.standard_normal(2 * n - 1)
+    if complex_entries:
+        t = t + 1j * rng.standard_normal(2 * n - 1)
+    # random diagonals: row != conj(col), so T is not Hermitian for n > 1
+    A = Toeplitz.from_diagonals(t, n, n).full()
+    want = optimal(A @ A.conj().T).ev
+    for policy in EmbeddingPolicy:
+        T = Toeplitz.from_diagonals(t, n, n, config=Config(embedding=policy))
+        got = _gram_projection_ev(T)
+        assert rel_err(got, want) <= 1e-14
+        if n <= 64:
+            assert rel_err(got, gram_projection_by_unit_vectors(T)) <= 1e-14
+
+
+def test_superoptimal_of_toeplitz_makes_no_matvec(monkeypatch):
+    calls = []
+    apply = Toeplitz._apply  # every fast product (matvec and @) runs through it
+
+    def counted(self, x):
+        calls.append(self.shape)
+        return apply(self, x)
+
+    monkeypatch.setattr(Toeplitz, "_apply", counted)
+    T = smtgallery("gaussian", 200)
+    T.matvec(np.ones(200))
+    T @ np.ones((200, 2))
+    assert calls == [(200, 200)] * 2  # the counter is live
+    calls.clear()
+    superoptimal(T)
+    assert calls == []
 
 
 def test_superoptimal_undefined_for_singular_projection():

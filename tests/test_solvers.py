@@ -117,6 +117,19 @@ def test_lstsq_matches_dense_qr(shape):
     assert rel_err(got, want) <= 1e-7
 
 
+def test_lstsq_real_cgls_stays_real():
+    rng = np.random.default_rng(29)
+    m, n = 192, 80  # n >= LSTSQ_DENSE_CUTOFF: the CGLS path
+    t = rng.standard_normal(m + n - 1)
+    t[n - 1] += 2.0 * np.sqrt(m)
+    T = Toeplitz.from_diagonals(t, m, n)
+    b = rng.standard_normal(m)
+    got = toep_lstsq(T, b)
+    want, *_ = np.linalg.lstsq(dense_toeplitz(t, m, n), b, rcond=None)
+    assert got.dtype == np.float64
+    assert rel_err(got, want) <= 1e-10
+
+
 def test_lstsq_normal_equations_residual():
     rng = np.random.default_rng(23)
     t = random_complex(rng, 100)
