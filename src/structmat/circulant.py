@@ -7,26 +7,23 @@ DFT of c.  The eigenvalues are computed once at construction, kept coherent
 through every structure-preserving operation, and reused so that products,
 powers, inverses and linear solves all run in O(n log n).
 
-Values are immutable; operations return new objects.  Binary operators
-follow the "least structured operand wins" promotion rule:
-
-    circulant (op) circulant -> circulant
-    circulant (op) scalar    -> circulant
-    circulant (op) Toeplitz  -> Toeplitz
-    circulant (op) ndarray   -> ndarray
-
-for elementwise +, -, * as well as for @ (where any Toeplitz or dense
-operand makes the product dense, because products of Toeplitz matrices are
-not Toeplitz in general).
+Values are immutable; operations return new objects.  Circulants sit at the
+bottom of the promotion lattice (see _structured.py): circulant (op)
+circulant stays circulant, for @ as well, and a Toeplitz operand turns the
+result into a Toeplitz value (dense for @).
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from ._util import as_vector, frozen, is_scalar, realify, require_finite
+from ._structured import Structured, reversal_index, spectral_apply
+from ._util import as_vector, frozen, realify, require_finite
 from .dft import dft, fourier_matrix, idft
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import SingularMatrixError
+from .toeplitz import Toeplitz
 
 __all__ = ["Circulant", "SINGULARITY_RTOL"]
 
@@ -35,41 +32,11 @@ __all__ = ["Circulant", "SINGULARITY_RTOL"]
 SINGULARITY_RTOL = 1e-13
 
 
-def _cwise(f):
-    def apply(arr):
-        if np.iscomplexobj(arr):
-            return f(arr.real) + 1j * f(arr.imag)
-        return f(arr)
-    return apply
-
-
-# Entrywise maps accepted by map_entries().  Rounding maps act on real and
-# imaginary parts separately; sign(z) = z/|z| with sign(0) = 0.
-ENTRYWISE_MAPS = {
-    "abs": np.abs,
-    "angle": np.angle,
-    "conj": np.conj,
-    "real": np.real,
-    "imag": np.imag,
-    "round": _cwise(np.round),
-    "fix": _cwise(np.trunc),
-    "floor": _cwise(np.floor),
-    "ceil": _cwise(np.ceil),
-    "sign": np.sign,
-}
-
-
-def _reversal_index(n):
-    # k -> (-k) mod n; reverses a column/spectrum around index 0
-    return np.mod(-np.arange(n), n)
-
-
-class Circulant:
+class Circulant(Structured):
     """Order-n circulant matrix, stored as first column plus eigenvalues."""
 
-    # Keep numpy from elementwise-broadcasting us; reflected dunders run instead.
-    __array_ufunc__ = None
     __slots__ = ("_col", "_ev")
+    _rank = 0
 
     def __init__(self, col):
         c = require_finite(as_vector(col, "first column"), "first column")
@@ -117,12 +84,6 @@ class Circulant:
         after long chains of spectrum-level updates)."""
         return Circulant(self._col)
 
-    def full(self) -> np.ndarray:
-        """Dense n-by-n array with entries col[(i - j) mod n]."""
-        n = self.n
-        idx = np.mod(np.arange(n)[:, None] - np.arange(n)[None, :], n)
-        return self._col[idx]
-
     def __repr__(self):
         return f"Circulant(n={self.n}, dtype={self.dtype})"
 
@@ -131,19 +92,12 @@ class Circulant:
             return self.n == other.n and bool(np.array_equal(self._col, other._col))
         return NotImplemented
 
-    __hash__ = None
-
     # -- products and solves ---------------------------------------------
 
     def _apply(self, arr):
         """ev-diagonal application along axis 0 (two transforms)."""
-        if arr.shape[0] != self.n:
-            raise DimensionMismatchError(
-                f"operand has leading dimension {arr.shape[0]}, expected {self.n}"
-            )
-        spec = self._ev.reshape((-1,) + (1,) * (arr.ndim - 1))
-        out = np.fft.ifft(spec * np.fft.fft(arr, axis=0), axis=0)
-        return realify(out, self.isreal and not np.iscomplexobj(arr))
+        self._check_operand(arr)
+        return spectral_apply(self._ev, arr, self.n, self.isreal and not np.iscomplexobj(arr))
 
     def matvec(self, x) -> np.ndarray:
         """Fast product C @ x using the cached spectrum."""
@@ -159,18 +113,13 @@ class Circulant:
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         arr = np.asarray(b)
-        vec_in = arr.ndim == 1
-        if vec_in:
+        if arr.ndim == 1:
             arr = as_vector(b, "right-hand side")
-        if arr.shape[0] != self.n:
-            raise DimensionMismatchError(
-                f"right-hand side has leading dimension {arr.shape[0]}, expected {self.n}"
-            )
-        spectrum = self._ev if side == "left" else self._ev[_reversal_index(self.n)]
+        self._check_operand(arr, "right-hand side")
+        spectrum = self._ev if side == "left" else self._ev[reversal_index(self.n)]
         self._check_nonsingular()
-        spec = spectrum.reshape((-1,) + (1,) * (arr.ndim - 1))
-        out = np.fft.ifft(np.fft.fft(arr, axis=0) / spec, axis=0)
-        return realify(out, self.isreal and not np.iscomplexobj(arr))
+        return spectral_apply(spectrum, arr, self.n,
+                              self.isreal and not np.iscomplexobj(arr), divide=True)
 
     def _check_nonsingular(self):
         mags = np.abs(self._ev)
@@ -209,42 +158,16 @@ class Circulant:
 
     def transpose(self, conjugate: bool = False) -> "Circulant":
         """Transpose (or conjugate transpose); no transforms involved."""
-        rev = _reversal_index(self.n)
+        rev = reversal_index(self.n)
         col = self._col[rev]
         if conjugate:
             return Circulant._from_parts(np.conj(col), np.conj(self._ev))
         return Circulant._from_parts(col, self._ev[rev])
 
-    @property
-    def T(self) -> "Circulant":
-        return self.transpose(False)
-
-    @property
-    def H(self) -> "Circulant":
-        return self.transpose(True)
-
-    def conj(self) -> "Circulant":
-        return self.map_entries("conj")
-
-    def map_entries(self, tag: str) -> "Circulant":
-        """Apply an elementary entrywise map (see ENTRYWISE_MAPS) to every
-        matrix entry; the eigenvalue cache is recomputed."""
-        try:
-            f = ENTRYWISE_MAPS[tag]
-        except KeyError:
-            raise ValueError(
-                f"unknown entrywise map {tag!r}; expected one of "
-                f"{sorted(ENTRYWISE_MAPS)}"
-            ) from None
-        return Circulant(f(self._col))
-
     def to_toeplitz(self):
         """The same matrix as an n-by-n Toeplitz value."""
-        from .toeplitz import Toeplitz
-
         n = self.n
-        t = self._col[np.mod(np.arange(1 - n, n), n)]
-        return Toeplitz.from_diagonals(t, n, n)
+        return Toeplitz.from_diagonals(self._entries(np.arange(1 - n, n)), n, n)
 
     # -- reductions --------------------------------------------------------
 
@@ -257,14 +180,6 @@ class Circulant:
         """Per-column products (n copies of prod(col))."""
         return np.full(self.n, self._col.prod(), dtype=self.dtype)
 
-    def diag(self, k: int = 0) -> np.ndarray:
-        """The k-th diagonal (constant by circulant structure)."""
-        n = self.n
-        length = n - abs(int(k))
-        if length <= 0:
-            return np.empty(0, dtype=self.dtype)
-        return np.full(length, self._col[(-int(k)) % n], dtype=self.dtype)
-
     def tril(self, k: int = 0):
         """Lower-triangular part, returned as a Toeplitz value."""
         return self.to_toeplitz().tril(k)
@@ -273,42 +188,22 @@ class Circulant:
         """Upper-triangular part, returned as a Toeplitz value."""
         return self.to_toeplitz().triu(k)
 
-    # -- indexing ----------------------------------------------------------
+    # -- hooks of the shared operator table (see _structured.py) -------------
 
-    def __getitem__(self, key):
-        """Submatrix extraction with structure-aware result types.
+    def _entries(self, lags):
+        return self._col[np.mod(lags, self.n)]
 
-        C[i, j] is a scalar; full slices give back the circulant itself;
-        contiguous ranges give a Toeplitz; anything else densifies.
-        """
-        if not (isinstance(key, tuple) and len(key) == 2):
-            raise TypeError("indexing requires a (rows, cols) pair")
-        rows, cols = key
-        n = self.n
-        if isinstance(rows, (int, np.integer)) and isinstance(cols, (int, np.integer)):
-            i = _norm_index(rows, n)
-            j = _norm_index(cols, n)
-            return self._col[(i - j) % n]
-        if _is_unit_slice(rows) and _is_unit_slice(cols):
-            r0, r1 = _slice_bounds(rows, n)
-            c0, c1 = _slice_bounds(cols, n)
-            if (r0, r1, c0, c1) == (0, n, 0, n):
-                return self
-            m_new, n_new = r1 - r0, c1 - c0
-            if m_new == 0 or n_new == 0:
-                return np.empty((m_new, n_new), dtype=self.dtype)
-            from .toeplitz import Toeplitz
+    def _block(self, t, m, n):
+        # the full slice gives back the circulant; any other block is Toeplitz
+        if (m, n) == self.shape:
+            return self
+        return Toeplitz.from_diagonals(t, m, n)
 
-            diags = np.arange(r0 - (c1 - 1), r1 - c0)
-            return Toeplitz.from_diagonals(self._col[np.mod(diags, n)], m_new, n_new)
-        r_idx = _as_index_array(rows, n)
-        c_idx = _as_index_array(cols, n)
-        sub = self._col[np.mod(r_idx[:, None] - c_idx[None, :], n)]
-        if isinstance(rows, (int, np.integer)) or isinstance(cols, (int, np.integer)):
-            return sub.reshape(-1)
-        return sub
+    def _as(self, cls):
+        return self.to_toeplitz()  # Toeplitz is the only class above circulant
 
-    # -- operators ---------------------------------------------------------
+    def _map(self, f):
+        return Circulant(f(self._col))
 
     def _add_scalar(self, s):
         col = self._col + s
@@ -316,147 +211,29 @@ class Circulant:
         ev[0] += self.n * s  # dft of a constant shifts only the DC term
         return Circulant._from_parts(col, ev)
 
-    def __add__(self, other):
-        if is_scalar(other):
-            return self._add_scalar(other)
-        if isinstance(other, Circulant):
-            self._require_same_order(other)
-            return Circulant._from_parts(self._col + other._col, self._ev + other._ev)
-        from .toeplitz import Toeplitz
+    def _combine(self, op, other):
+        if op is operator.mul:
+            return Circulant(self._col * other._col)
+        # + and - act linearly on the spectrum too
+        return Circulant._from_parts(op(self._col, other._col), op(self._ev, other._ev))
 
-        if isinstance(other, Toeplitz):
-            return self.to_toeplitz() + other
-        if isinstance(other, np.ndarray):
-            return self.full() + other
-        return NotImplemented
-
-    def __radd__(self, other):
-        if is_scalar(other):
-            return self._add_scalar(other)
-        if isinstance(other, np.ndarray):
-            return other + self.full()
-        return NotImplemented
-
-    def __sub__(self, other):
-        if is_scalar(other):
-            return self._add_scalar(-other)
-        if isinstance(other, Circulant):
-            self._require_same_order(other)
-            return Circulant._from_parts(self._col - other._col, self._ev - other._ev)
-        from .toeplitz import Toeplitz
-
-        if isinstance(other, Toeplitz):
-            return self.to_toeplitz() - other
-        if isinstance(other, np.ndarray):
-            return self.full() - other
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if is_scalar(other):
-            return (-self)._add_scalar(other)
-        if isinstance(other, np.ndarray):
-            return other - self.full()
-        return NotImplemented
+    # -- operators ---------------------------------------------------------
 
     def __neg__(self):
         return Circulant._from_parts(-self._col, -self._ev)
-
-    def __pos__(self):
-        return self
 
     def scale(self, alpha) -> "Circulant":
         """alpha * C, updating column and spectrum without transforms."""
         return Circulant._from_parts(alpha * self._col, alpha * self._ev)
 
-    def __mul__(self, other):
-        # elementwise product; scalars scale
-        if is_scalar(other):
-            return self.scale(other)
-        if isinstance(other, Circulant):
-            self._require_same_order(other)
-            return Circulant(self._col * other._col)
-        from .toeplitz import Toeplitz
-
-        if isinstance(other, Toeplitz):
-            return self.to_toeplitz() * other
-        if isinstance(other, np.ndarray):
-            return self.full() * other
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if is_scalar(other):
-            return self.scale(other)
-        if isinstance(other, np.ndarray):
-            return other * self.full()
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if is_scalar(other):
-            return self.scale(1.0 / other)
-        return NotImplemented
-
     def __matmul__(self, other):
-        if isinstance(other, Circulant):
-            self._require_same_order(other)
-            ev = self._ev * other._ev
-            col = realify(idft(ev), self.isreal and other.isreal)
-            return Circulant._from_parts(col, ev)
-        from .toeplitz import Toeplitz
-
-        if isinstance(other, Toeplitz):
-            return self.to_toeplitz() @ other
-        if isinstance(other, np.ndarray):
-            if other.ndim == 1:
-                return self.matvec(other)
-            if other.ndim == 2:
-                return self._apply(other)
-        return NotImplemented
-
-    def __rmatmul__(self, other):
-        if isinstance(other, np.ndarray):
-            if other.ndim == 1:
-                return self.transpose()._apply(other)
-            if other.ndim == 2:
-                return self.transpose()._apply(other.T).T
-        return NotImplemented
+        # circulant @ circulant is the one product that stays structured
+        if not isinstance(other, Circulant):
+            return super().__matmul__(other)
+        self._check_operand(other)
+        ev = self._ev * other._ev
+        col = realify(idft(ev), self.isreal and other.isreal)
+        return Circulant._from_parts(col, ev)
 
     def __pow__(self, p):
         return self.matrix_power(p)
-
-    def __abs__(self):
-        return self.map_entries("abs")
-
-    def _require_same_order(self, other):
-        if self.n != other.n:
-            raise DimensionMismatchError(
-                f"circulant orders disagree: {self.n} vs {other.n}"
-            )
-
-
-def _norm_index(i, dim):
-    i = int(i)
-    if i < 0:
-        i += dim
-    if not 0 <= i < dim:
-        raise IndexError(f"index {i} out of range for dimension {dim}")
-    return i
-
-
-def _is_unit_slice(s):
-    return isinstance(s, slice) and (s.step is None or s.step == 1)
-
-
-def _slice_bounds(s, dim):
-    start, stop, _ = s.indices(dim)
-    return start, max(start, stop)
-
-
-def _as_index_array(spec, dim):
-    if isinstance(spec, (int, np.integer)):
-        return np.array([_norm_index(spec, dim)])
-    if isinstance(spec, slice):
-        return np.arange(*spec.indices(dim))
-    idx = np.asarray(spec)
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise TypeError(f"invalid index specification {spec!r}")
-    return np.array([_norm_index(i, dim) for i in idx])

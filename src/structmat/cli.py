@@ -35,7 +35,14 @@ from .errors import (
 from .fileio import read_matrix, write_matrix
 from .gallery import GALLERY_NAMES, smtgallery
 from .preconditioners import smtcprec
-from .solvers import SolveFlag, SolveReport, pcg_solve, toep_divide, toep_lstsq
+from .solvers import (
+    SolveFlag,
+    SolveReport,
+    levinson_solve,
+    pcg_solve,
+    toep_divide,
+    toep_lstsq,
+)
 from .toeplitz import Toeplitz
 
 EXIT_OK = 0
@@ -174,9 +181,9 @@ def run_precond(args) -> int:
     return EXIT_OK
 
 
-def _auto_solve(A, b, config) -> tuple[np.ndarray, SolveReport]:
+def _auto_solve(A, b) -> np.ndarray:
     if isinstance(A, Toeplitz):
-        x = toep_divide(A, b, config)
+        x = toep_divide(A, b)
     elif isinstance(A, Circulant):
         x = A.solve(b)
     else:
@@ -185,8 +192,7 @@ def _auto_solve(A, b, config) -> tuple[np.ndarray, SolveReport]:
             x = np.linalg.solve(arr, b)
         else:
             x, *_ = np.linalg.lstsq(arr, b, rcond=None)
-    res = _relative_residual(A, x, b)
-    return x, SolveReport(0, res, SolveFlag.CONVERGED)
+    return x
 
 
 def _relative_residual(A, x, b) -> float:
@@ -197,11 +203,10 @@ def _relative_residual(A, x, b) -> float:
 def run_solve(args) -> int:
     config = config_get()
     A = read_matrix(args.matrix)
-    shape = A.shape if not isinstance(A, np.ndarray) else A.shape
     if args.rhs is None and not args.rhs_ones:
         raise StructmatError("solve needs an rhs file or --rhs-ones")
     if args.rhs_ones:
-        b = A @ np.ones(shape[1])
+        b = A @ np.ones(A.shape[1])
         rhs_label = "ones-image"
     else:
         b = read_matrix(args.rhs)
@@ -210,28 +215,15 @@ def run_solve(args) -> int:
         rhs_label = args.rhs
 
     start = time.perf_counter()
-    method = args.method
-    if method == "auto":
-        x, report = _auto_solve(A, b, config)
-        resolved = "auto"
-    elif method == "levinson":
-        if not isinstance(A, Toeplitz):
-            raise StructmatError("--method levinson requires a Toeplitz matrix file")
-        from .solvers import levinson_solve
-
-        x = levinson_solve(A, b)
-        report = SolveReport(0, _relative_residual(A, x, b), SolveFlag.CONVERGED)
-        resolved = "levinson"
-    elif method == "lstsq":
-        if not isinstance(A, Toeplitz):
-            raise StructmatError("--method lstsq requires a Toeplitz matrix file")
-        x = toep_lstsq(A, b)
-        report = SolveReport(0, _relative_residual(A, x, b), SolveFlag.CONVERGED)
-        resolved = "lstsq"
-    else:  # pcg
+    if args.method == "pcg":
         M = smtcprec(args.precond, A) if args.precond != "none" else None
         x, report = pcg_solve(A, b, M=M, tol=args.tol, maxit=args.maxit)
-        resolved = "pcg"
+    else:
+        if args.method != "auto" and not isinstance(A, Toeplitz):
+            raise StructmatError(f"--method {args.method} requires a Toeplitz matrix file")
+        direct = {"auto": _auto_solve, "levinson": levinson_solve, "lstsq": toep_lstsq}
+        x = direct[args.method](A, b)
+        report = SolveReport(0, _relative_residual(A, x, b), SolveFlag.CONVERGED)
     wall = time.perf_counter() - start
 
     if args.output:
@@ -239,7 +231,7 @@ def run_solve(args) -> int:
     print("command: solve")
     print(f"matrix: {args.matrix}")
     print(f"rhs: {rhs_label}")
-    print(f"method: {resolved}")
+    print(f"method: {args.method}")
     print(f"precond: {args.precond}")
     print(f"embedding: {config.embedding.value}")
     print(f"toeprem: {'on' if config.toeprem else 'off'}")
@@ -299,8 +291,6 @@ def bench_matvec(sizes, reps, policies, dense_cutoff=BENCH_DENSE_CUTOFF):
 
 def bench_solve(sizes, reps, policies, dense_cutoff=BENCH_DENSE_CUTOFF):
     """Levinson-vs-dense-LU solve benchmark rows."""
-    from .solvers import levinson_solve
-
     rows = []
     for n in sizes:
         for policy in policies:

@@ -14,21 +14,20 @@ allocated, so each product costs two transforms instead of three.
 Values are immutable apart from the idempotent `cev` cache fill, which is
 safe under concurrent access: readers observe either no cache or a fully
 written one, and duplicated fills produce identical arrays.
+
+Operators follow the promotion lattice in _structured.py: a circulant
+operand converts to Toeplitz, and @ with any Toeplitz factor is dense.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import operator
 
-from ._util import as_vector, frozen, is_scalar, realify, require_finite
-from .circulant import (
-    ENTRYWISE_MAPS,
-    Circulant,
-    _as_index_array,
-    _is_unit_slice,
-    _norm_index,
-    _slice_bounds,
-)
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from ._structured import Structured, reversal_index, spectral_apply
+from ._util import as_vector, frozen, require_finite
 from .config import Config, EmbeddingPolicy, config_get, embedded_size
 from .errors import DimensionMismatchError, UnsupportedOperationError
 
@@ -40,11 +39,11 @@ _FORBIDDEN_MSG = (
 )
 
 
-class Toeplitz:
+class Toeplitz(Structured):
     """m-by-n Toeplitz matrix stored by diagonals."""
 
-    __array_ufunc__ = None
     __slots__ = ("_t", "_m", "_n", "_policy", "_eager", "_cev")
+    _rank = 1
 
     def __init__(self, col, row=None, config: Config | None = None):
         """Build from first column and (optionally) first row.
@@ -149,11 +148,6 @@ class Toeplitz:
         """Cached embedding eigenvalues, or None if not yet computed."""
         return self._cev
 
-    def full(self) -> np.ndarray:
-        """Dense m-by-n array with entries t[i - j]."""
-        idx = np.arange(self._m)[:, None] - np.arange(self._n)[None, :] + (self._n - 1)
-        return self._t[idx]
-
     def __repr__(self):
         cev = "none" if self._cev is None else str(self._cev.shape[0])
         return (
@@ -165,8 +159,6 @@ class Toeplitz:
         if isinstance(other, Toeplitz):
             return self.shape == other.shape and bool(np.array_equal(self._t, other._t))
         return NotImplemented
-
-    __hash__ = None
 
     # -- embedding and products --------------------------------------------
 
@@ -196,17 +188,9 @@ class Toeplitz:
 
     def _apply(self, arr):
         """Embedded product along axis 0: zero-pad, multiply spectra, crop."""
-        if arr.shape[0] != self._n:
-            raise DimensionMismatchError(
-                f"operand has leading dimension {arr.shape[0]}, expected {self._n}"
-            )
-        cev = self._ensure_cev()
-        size = cev.shape[0]
-        spec = cev.reshape((-1,) + (1,) * (arr.ndim - 1))
-        freq = np.fft.fft(arr, n=size, axis=0)
-        np.multiply(spec, freq, out=freq)
-        out = np.fft.ifft(freq, axis=0)[: self._m]
-        return realify(out, self.isreal and not np.iscomplexobj(arr))
+        self._check_operand(arr)
+        return spectral_apply(self._ensure_cev(), arr, self._m,
+                              self.isreal and not np.iscomplexobj(arr))
 
     def matvec(self, x) -> np.ndarray:
         """Fast product T @ x via the circulant embedding."""
@@ -224,35 +208,8 @@ class Toeplitz:
             t = np.conj(t)
             new_cev = np.conj(cev) if cev is not None else None
         else:
-            if cev is not None:
-                size = cev.shape[0]
-                new_cev = cev[np.mod(-np.arange(size), size)]
-            else:
-                new_cev = None
+            new_cev = cev[reversal_index(cev.shape[0])] if cev is not None else None
         return Toeplitz._from_parts(t, self._n, self._m, self._policy, self._eager, new_cev)
-
-    @property
-    def T(self) -> "Toeplitz":
-        return self.transpose(False)
-
-    @property
-    def H(self) -> "Toeplitz":
-        return self.transpose(True)
-
-    def conj(self) -> "Toeplitz":
-        return self.map_entries("conj")
-
-    def map_entries(self, tag: str) -> "Toeplitz":
-        """Apply an elementary entrywise map along the diagonals; the cev
-        cache is recomputed per the baked policy."""
-        try:
-            f = ENTRYWISE_MAPS[tag]
-        except KeyError:
-            raise ValueError(
-                f"unknown entrywise map {tag!r}; expected one of "
-                f"{sorted(ENTRYWISE_MAPS)}"
-            ) from None
-        return self._rebuild(f(self._t))
 
     def scale(self, alpha) -> "Toeplitz":
         """alpha * T; a cached spectrum is scaled rather than recomputed."""
@@ -285,19 +242,8 @@ class Toeplitz:
 
     def prod(self) -> np.ndarray:
         """Per-column products, computed from the diagonal vector."""
-        out = np.empty(self._n, dtype=self.dtype)
-        for j in range(self._n):
-            start = self._n - 1 - j
-            out[j] = np.prod(self._t[start: start + self._m])
-        return out
-
-    def diag(self, k: int = 0) -> np.ndarray:
-        """The k-th diagonal (constant by Toeplitz structure)."""
-        k = int(k)
-        length = min(self._m, self._n - k) if k >= 0 else min(self._m + k, self._n)
-        if length <= 0:
-            return np.empty(0, dtype=self.dtype)
-        return np.full(length, self._t[self._n - 1 - k], dtype=self.dtype)
+        # column j holds the window t[n-1-j : n-1-j+m]
+        return sliding_window_view(self._t, self._m).prod(axis=1)[::-1]
 
     # -- deliberately unsupported dense-algebra entry points ----------------
 
@@ -310,149 +256,39 @@ class Toeplitz:
     def eig(self):
         raise UnsupportedOperationError(_FORBIDDEN_MSG.format(what="eigensolver"))
 
-    # -- indexing ----------------------------------------------------------
+    # -- hooks of the shared operator table (see _structured.py) -------------
 
-    def __getitem__(self, key):
-        """T[i, j] is a scalar; contiguous slice pairs stay Toeplitz;
-        anything else densifies."""
-        if not (isinstance(key, tuple) and len(key) == 2):
-            raise TypeError("indexing requires a (rows, cols) pair")
-        rows, cols = key
-        m, n = self._m, self._n
-        if isinstance(rows, (int, np.integer)) and isinstance(cols, (int, np.integer)):
-            i = _norm_index(rows, m)
-            j = _norm_index(cols, n)
-            return self._t[i - j + n - 1]
-        if _is_unit_slice(rows) and _is_unit_slice(cols):
-            r0, r1 = _slice_bounds(rows, m)
-            c0, c1 = _slice_bounds(cols, n)
-            m_new, n_new = r1 - r0, c1 - c0
-            if m_new == 0 or n_new == 0:
-                return np.empty((m_new, n_new), dtype=self.dtype)
-            lo = r0 - (c1 - 1) + n - 1
-            return self._rebuild(self._t[lo: lo + m_new + n_new - 1], m_new, n_new)
-        r_idx = _as_index_array(rows, m)
-        c_idx = _as_index_array(cols, n)
-        sub = self._t[r_idx[:, None] - c_idx[None, :] + n - 1]
-        if isinstance(rows, (int, np.integer)) or isinstance(cols, (int, np.integer)):
-            return sub.reshape(-1)
-        return sub
+    def _entries(self, lags):
+        return self._t[lags + (self._n - 1)]
 
-    # -- operators ---------------------------------------------------------
+    def _block(self, t, m, n):
+        return self._rebuild(t, m, n)
 
-    def _coerce_structured(self, other):
-        """Convert a structured operand to a shape-checked Toeplitz."""
-        if isinstance(other, Circulant):
-            other = other.to_toeplitz()
-        if isinstance(other, Toeplitz):
-            if other.shape != self.shape:
-                raise DimensionMismatchError(
-                    f"shapes disagree: {self.shape} vs {other.shape}"
-                )
-            return other
-        return None
+    def _map(self, f):
+        return self._rebuild(f(self._t))
 
-    def _add_toep(self, other, sign):
-        t = self._t + sign * other._t
+    def _add_scalar(self, s):
+        # every entry sits on some diagonal, so shift the whole vector;
+        # the spectrum is refilled lazily on the next product
+        return Toeplitz._from_parts(
+            self._t + s, self._m, self._n, self._policy, self._eager, None
+        )
+
+    def _combine(self, op, other):
+        if op is operator.mul:
+            # constant diagonals multiply diagonal-wise
+            return self._rebuild(self._t * other._t)
+        # + and - act linearly on the spectrum too, when both embed alike
         cev = None
         if (
             self._cev is not None
             and other._cev is not None
             and self._cev.shape == other._cev.shape
         ):
-            cev = self._cev + sign * other._cev
-        return Toeplitz._from_parts(t, self._m, self._n, self._policy, self._eager, cev)
-
-    def __add__(self, other):
-        if is_scalar(other):
-            # every entry sits on some diagonal, so shift the whole vector;
-            # the spectrum is refilled lazily on the next product
-            return Toeplitz._from_parts(
-                self._t + other, self._m, self._n, self._policy, self._eager, None
-            )
-        st = self._coerce_structured(other)
-        if st is not None:
-            return self._add_toep(st, 1)
-        if isinstance(other, np.ndarray):
-            return self.full() + other
-        return NotImplemented
-
-    def __radd__(self, other):
-        if is_scalar(other):
-            return self.__add__(other)
-        if isinstance(other, np.ndarray):
-            return other + self.full()
-        return NotImplemented
-
-    def __sub__(self, other):
-        if is_scalar(other):
-            return self.__add__(-other)
-        st = self._coerce_structured(other)
-        if st is not None:
-            return self._add_toep(st, -1)
-        if isinstance(other, np.ndarray):
-            return self.full() - other
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if is_scalar(other):
-            return (-self).__add__(other)
-        if isinstance(other, np.ndarray):
-            return other - self.full()
-        return NotImplemented
+            cev = op(self._cev, other._cev)
+        return Toeplitz._from_parts(
+            op(self._t, other._t), self._m, self._n, self._policy, self._eager, cev
+        )
 
     def __neg__(self):
         return self.scale(-1)
-
-    def __pos__(self):
-        return self
-
-    def __mul__(self, other):
-        # elementwise product; constant diagonals multiply diagonal-wise
-        if is_scalar(other):
-            return self.scale(other)
-        st = self._coerce_structured(other)
-        if st is not None:
-            return self._rebuild(self._t * st._t)
-        if isinstance(other, np.ndarray):
-            return self.full() * other
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if is_scalar(other):
-            return self.scale(other)
-        if isinstance(other, np.ndarray):
-            return other * self.full()
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if is_scalar(other):
-            return self.scale(1.0 / other)
-        return NotImplemented
-
-    def __matmul__(self, other):
-        # any Toeplitz product beyond matrix-vector densifies: products of
-        # Toeplitz matrices are not Toeplitz in general
-        if isinstance(other, (Toeplitz, Circulant)):
-            if other.shape[0] != self._n:
-                raise DimensionMismatchError(
-                    f"inner dimensions disagree: {self.shape} @ {other.shape}"
-                )
-            return self._apply(other.full())
-        if isinstance(other, np.ndarray):
-            if other.ndim == 1:
-                return self.matvec(other)
-            if other.ndim == 2:
-                return self._apply(other)
-        return NotImplemented
-
-    def __rmatmul__(self, other):
-        if isinstance(other, np.ndarray):
-            if other.ndim == 1:
-                return self.transpose()._apply(other)
-            if other.ndim == 2:
-                return self.transpose()._apply(other.T).T
-        return NotImplemented
-
-    def __abs__(self):
-        return self.map_entries("abs")

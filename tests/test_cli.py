@@ -249,3 +249,20 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("method, m", [("levinson", 16), ("lstsq", 24)])
+def test_solve_direct_methods_report(tmp_path, capsys, method, m):
+    mat = tmp_path / "t.smt"
+    from structmat import write_matrix
+
+    t = np.random.default_rng(17).standard_normal(m + 15)
+    t[15] += 2 * m  # dominant main diagonal: well conditioned, no Levinson breakdown
+    write_matrix(mat, Toeplitz.from_diagonals(t, m, 16))
+    code, stdout, _ = run(capsys, "solve", str(mat), "--rhs-ones", "--method", method)
+    fields = report_dict(stdout)
+    assert code == EXIT_OK
+    assert fields["method"] == method
+    assert fields["iterations"] == "0"
+    assert fields["flag"] == "converged"
+    assert float(fields["relative_residual"]) <= 1e-10
