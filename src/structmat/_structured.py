@@ -11,7 +11,7 @@ dense, and the result belongs to the least structured operand:
     X (op) scalar   -> class of X   (scalars act neutrally)
     X (op) ndarray  -> ndarray      (X densifies)
     X (op) Y        -> class of the operand with the higher `_rank` (the
-                       more structured operand converts to that class)
+                       more structured operand converts with to_toeplitz)
 
 for the elementwise +, - and *.  The matrix product @ leaves the lattice:
 only circulant @ circulant stays structured, and any Toeplitz factor makes
@@ -22,7 +22,6 @@ through the fast product column by column.
 Each class sets `_rank` (0 for circulant, 1 for Toeplitz) and supplies
 these hooks:
 
-    _as(cls)          the same matrix as a value of the less structured cls
     _add_scalar(s)    X + s, with the spectrum kept coherent
     _combine(op, Y)   op(X, Y) for op in add/sub/mul, Y of the same class
                       and shape
@@ -82,13 +81,16 @@ def spectral_apply(spec, arr, rows, real, divide=False):
     """
     spec = spec.reshape((-1,) + (1,) * (arr.ndim - 1))
     freq = np.fft.fft(arr, n=spec.shape[0], axis=0)
+    # a single-precision operand transforms to complex64; widen it so the
+    # in-place steps below never round the spectrum or the product down
+    freq = freq.astype(np.result_type(freq, spec), copy=False)
     # keep the operand order: numpy's complex multiply fuses multiply-adds,
     # so spec * freq and freq * spec can differ in the last bit
     if divide:
         np.divide(freq, spec, out=freq)
     else:
         np.multiply(spec, freq, out=freq)
-    return realify(np.fft.ifft(freq, axis=0, out=freq)[:rows], real)
+    return realify(np.fft.ifft(freq, axis=0)[:rows], real)
 
 
 class Structured:
@@ -125,10 +127,11 @@ class Structured:
         if self.shape != other.shape:
             raise DimensionMismatchError(f"shapes disagree: {self.shape} vs {other.shape}")
         a, b = self, other
+        # Toeplitz is the only class above circulant
         if a._rank < b._rank:
-            a = a._as(type(b))
+            a = a.to_toeplitz()
         elif b._rank < a._rank:
-            b = b._as(type(a))
+            b = b.to_toeplitz()
         return a._combine(op, b)
 
     def __add__(self, other):

@@ -199,9 +199,6 @@ class Circulant(Structured):
             return self
         return Toeplitz.from_diagonals(t, m, n)
 
-    def _as(self, cls):
-        return self.to_toeplitz()  # Toeplitz is the only class above circulant
-
     def _map(self, f):
         return Circulant(f(self._col))
 

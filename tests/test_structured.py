@@ -63,3 +63,21 @@ def test_operator_table_against_dense_oracles():
                 dense = got if isinstance(got, np.ndarray) else got.full()
                 ref = op(oracle[id(a)], oracle[id(b)])
                 assert rel_err(dense, ref) <= 1e-12, (name, a, b)
+
+
+def test_single_precision_operands_are_applied_in_double_precision():
+    # a 2-d float32/complex64 operand is transformed in its own precision, but
+    # the spectrum is never rounded down to it: the result comes back in
+    # double precision, as for a 1-d operand
+    rng = np.random.default_rng(7)
+    c, t = random_complex(rng, 6), random_complex(rng, 11)
+    C, T = Circulant(c.real), Toeplitz.from_diagonals(t, 6, 6)
+    dense_C, dense_T = dense_circulant(c.real), dense_toeplitz(t, 6, 6)
+    for X in (rng.standard_normal((6, 3)).astype(np.float32),
+              random_complex(rng, 6, 3).astype(np.complex64)):
+        wide = X.astype(np.complex128 if np.iscomplexobj(X) else np.float64)
+        for got, ref in ((C @ X, dense_C @ wide), (X.T @ C, wide.T @ dense_C),
+                         (C.solve(X), np.linalg.solve(dense_C, wide)),
+                         (T @ X, dense_T @ wide), (X.T @ T, wide.T @ dense_T)):
+            assert got.dtype == ref.dtype
+            assert rel_err(got, ref) <= 1e-5
