@@ -5,6 +5,11 @@ cached spectrum.  `Structured` writes their common behaviour once: the
 operator dunders, transposes and entrywise maps, indexing, and the spectral
 product kernel.
 
+The cached spectrum is always the full-length DFT, also for real values,
+where it is Hermitian.  Every transform of real data runs at half length:
+`spectrum_of` and `entries_of` convert between entries and spectrum, and
+`spectral_apply` multiplies or divides, each with one rfft or irfft.
+
 Binary operators follow the promotion lattice circulant -> Toeplitz ->
 dense, and the result belongs to the least structured operand:
 
@@ -36,10 +41,17 @@ import operator
 
 import numpy as np
 
-from ._util import is_scalar, realify
+from ._util import is_scalar
 from .errors import DimensionMismatchError
 
-__all__ = ["ENTRYWISE_MAPS", "Structured", "reversal_index", "spectral_apply"]
+__all__ = [
+    "ENTRYWISE_MAPS",
+    "Structured",
+    "entries_of",
+    "reversal_index",
+    "spectral_apply",
+    "spectrum_of",
+]
 
 
 def _cwise(f):
@@ -71,16 +83,52 @@ def reversal_index(n):
     return np.mod(-np.arange(n), n)
 
 
+def spectrum_of(x):
+    """Full-length DFT of the 1-d vector `x`.
+
+    Real `x` takes one half-length rfft: its spectrum is Hermitian, so the
+    upper half is the conjugate mirror of the lower one, exactly.
+    """
+    if np.iscomplexobj(x):
+        return np.fft.fft(x)
+    n = x.shape[0]
+    half = np.fft.rfft(x)
+    h = half.shape[0]
+    full = np.empty(n, dtype=half.dtype)
+    full[:h] = half
+    full[h:] = np.conj(half[n - h:0:-1])
+    return full
+
+
+def entries_of(spec, real):
+    """Inverse DFT of the full spectrum `spec`.
+
+    `real` says the exact result is real, so `spec` is Hermitian and one
+    half-length irfft of spec[:N//2 + 1] gives the entries.
+    """
+    if real:
+        return np.fft.irfft(spec[: spec.shape[0] // 2 + 1], spec.shape[0])
+    return np.fft.ifft(spec)
+
+
 def spectral_apply(spec, arr, rows, real, divide=False):
     """Multiply (or, with `divide`, solve) along axis 0 of `arr` by the
     circulant whose eigenvalues are `spec`, keeping the first `rows` rows.
 
-    `arr` is zero-padded to len(spec), so an embedded Toeplitz product and
-    a plain circulant product are the same two transforms.  `real` says the
-    exact result is real, so the roundoff imaginary part is dropped.
+    `arr` is zero-padded to N = len(spec), so an embedded Toeplitz product
+    and a plain circulant product are the same two transforms.  `real` says
+    both `arr` and the matrix are real: then `spec` is Hermitian and the two
+    transforms are half-length real ones, rfft and irfft over the view
+    spec[:N//2 + 1], whose output is already real.  Otherwise they are
+    full-length complex fft and ifft.
     """
+    N = spec.shape[0]
+    if real:
+        forward, inverse, spec = np.fft.rfft, np.fft.irfft, spec[: N // 2 + 1]
+    else:
+        forward, inverse = np.fft.fft, np.fft.ifft
     spec = spec.reshape((-1,) + (1,) * (arr.ndim - 1))
-    freq = np.fft.fft(arr, n=spec.shape[0], axis=0)
+    freq = forward(arr, n=N, axis=0)
     # a single-precision operand transforms to complex64; widen it so the
     # in-place steps below never round the spectrum or the product down
     freq = freq.astype(np.result_type(freq, spec), copy=False)
@@ -90,7 +138,7 @@ def spectral_apply(spec, arr, rows, real, divide=False):
         np.divide(freq, spec, out=freq)
     else:
         np.multiply(spec, freq, out=freq)
-    return realify(np.fft.ifft(freq, axis=0)[:rows], real)
+    return inverse(freq, n=N, axis=0)[:rows]
 
 
 class Structured:

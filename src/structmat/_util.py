@@ -6,7 +6,11 @@ import numpy as np
 
 
 def as_vector(values, name="operand"):
-    """Coerce to a 1-d float64/complex128 array; reject empty input."""
+    """Coerce to a 1-d float64/complex128 array; reject empty input.
+
+    An input already of that dtype comes back uncopied, so callers that
+    store, freeze or write to the result must copy it themselves.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
@@ -15,8 +19,8 @@ def as_vector(values, name="operand"):
     if not np.issubdtype(arr.dtype, np.number):
         raise TypeError(f"{name} must be numeric, got dtype {arr.dtype}")
     if np.iscomplexobj(arr):
-        return arr.astype(np.complex128)
-    return arr.astype(np.float64)
+        return arr.astype(np.complex128, copy=False)
+    return arr.astype(np.float64, copy=False)
 
 
 def require_finite(arr, name="operand"):

@@ -19,9 +19,9 @@ import operator
 
 import numpy as np
 
-from ._structured import Structured, reversal_index, spectral_apply
-from ._util import as_vector, frozen, realify, require_finite
-from .dft import dft, fourier_matrix, idft
+from ._structured import Structured, entries_of, reversal_index, spectral_apply, spectrum_of
+from ._util import as_vector, frozen, require_finite
+from .dft import fourier_matrix
 from .errors import SingularMatrixError
 from .toeplitz import Toeplitz
 
@@ -35,20 +35,22 @@ SINGULARITY_RTOL = 1e-13
 class Circulant(Structured):
     """Order-n circulant matrix, stored as first column plus eigenvalues."""
 
-    __slots__ = ("_col", "_ev")
+    __slots__ = ("_col", "_ev", "_singular")
     _rank = 0
 
     def __init__(self, col):
         c = require_finite(as_vector(col, "first column"), "first column")
         self._col = frozen(c.copy())
-        self._ev = frozen(dft(self._col))
+        self._ev = frozen(spectrum_of(self._col))
+        self._singular = None
 
     @classmethod
     def _from_parts(cls, col, ev):
-        """Internal constructor: `ev` must already equal dft(col) to roundoff."""
+        """Internal constructor: `ev` must already equal the DFT of col to roundoff."""
         obj = cls.__new__(cls)
         obj._col = frozen(np.ascontiguousarray(col))
         obj._ev = frozen(np.ascontiguousarray(ev))
+        obj._singular = None
         return obj
 
     # -- basic data ------------------------------------------------------
@@ -76,7 +78,7 @@ class Circulant(Structured):
 
     @property
     def ev(self) -> np.ndarray:
-        """Cached eigenvalue vector, dft(col) (read-only view)."""
+        """Cached eigenvalue vector, the full DFT of col (read-only view)."""
         return self._ev
 
     def refresh(self) -> "Circulant":
@@ -122,18 +124,24 @@ class Circulant(Structured):
                               self.isreal and not np.iscomplexobj(arr), divide=True)
 
     def _check_nonsingular(self):
-        mags = np.abs(self._ev)
-        if mags.min() <= SINGULARITY_RTOL * mags.max():
-            raise SingularMatrixError(
+        # values are immutable, so the verdict (the error message, or "" for
+        # nonsingular) is computed once; concurrent fills write equal strings
+        if self._singular is None:
+            mags = np.abs(self._ev)
+            lo, hi = mags.min(), mags.max()
+            self._singular = (
                 "singular circulant: smallest eigenvalue magnitude "
-                f"{mags.min():.3e} is below {SINGULARITY_RTOL:g} * {mags.max():.3e}"
+                f"{lo:.3e} is below {SINGULARITY_RTOL:g} * {hi:.3e}"
+                if lo <= SINGULARITY_RTOL * hi else ""
             )
+        if self._singular:
+            raise SingularMatrixError(self._singular)
 
     def inv(self) -> "Circulant":
         """Circulant inverse via reciprocal eigenvalues."""
         self._check_nonsingular()
         ev = 1.0 / self._ev
-        return Circulant._from_parts(realify(idft(ev), self.isreal), ev)
+        return Circulant._from_parts(entries_of(ev, self.isreal), ev)
 
     def det(self):
         """Determinant, the product of the cached eigenvalues."""
@@ -152,7 +160,7 @@ class Circulant(Structured):
         if p < 0:
             self._check_nonsingular()
         ev = self._ev ** p
-        return Circulant._from_parts(realify(idft(ev), self.isreal), ev)
+        return Circulant._from_parts(entries_of(ev, self.isreal), ev)
 
     # -- structure manipulation ------------------------------------------
 
@@ -229,7 +237,7 @@ class Circulant(Structured):
             return super().__matmul__(other)
         self._check_operand(other)
         ev = self._ev * other._ev
-        col = realify(idft(ev), self.isreal and other.isreal)
+        col = entries_of(ev, self.isreal and other.isreal)
         return Circulant._from_parts(col, ev)
 
     def __pow__(self, p):

@@ -7,6 +7,7 @@ error (singular / breakdown / rank deficiency), 4 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 import time
@@ -335,6 +336,9 @@ def run_bench(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+# Built once per process: parse_args keeps no state between calls, since each
+# call fills a fresh namespace from the defaults.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--embedding", choices=["tight", "pow2"],

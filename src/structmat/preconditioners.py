@@ -20,9 +20,9 @@ import threading
 
 import numpy as np
 
-from ._util import realify
+from ._structured import entries_of
 from .circulant import Circulant
-from .dft import idft, next_pow2
+from .dft import next_pow2
 from .errors import DimensionMismatchError, SingularMatrixError
 from .toeplitz import Toeplitz
 
@@ -116,7 +116,7 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
         b = optimal(A @ A.conj().T).ev
         real = not np.iscomplexobj(A)
     lam = b / np.conj(a)
-    return Circulant._from_parts(realify(idft(lam), real), lam)
+    return Circulant._from_parts(entries_of(lam, real), lam)
 
 
 def _gram_projection_ev(T: Toeplitz) -> np.ndarray:

@@ -9,7 +9,10 @@ N = m + n - 1 or the next power of two, per the active embedding policy),
 pad the vector with zeros, multiply in the Fourier domain and crop the
 result.  The embedding eigenvalues are cached in the `cev` field; with the
 `toeprem` setting on (the default) they are computed when the value is
-allocated, so each product costs two transforms instead of three.
+allocated, so each product costs two transforms instead of three.  When
+T and the vector are both real, the two are half-length real transforms
+(rfft and irfft) over the Hermitian half of `cev`; `cev` itself always
+holds the full-length spectrum.
 
 Values are immutable apart from the idempotent `cev` cache fill, which is
 safe under concurrent access: readers observe either no cache or a fully
@@ -26,7 +29,7 @@ import operator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._structured import Structured, reversal_index, spectral_apply
+from ._structured import Structured, reversal_index, spectral_apply, spectrum_of
 from ._util import as_vector, frozen, require_finite
 from .config import Config, EmbeddingPolicy, config_get, embedded_size
 from .errors import DimensionMismatchError, UnsupportedOperationError
@@ -79,7 +82,8 @@ class Toeplitz(Structured):
                 f"for a {m}x{n} matrix"
             )
         obj = cls.__new__(cls)
-        obj._init_from_t(tv, m, n, config)
+        # as_vector may return the caller's own array, which must stay writable
+        obj._init_from_t(tv.copy(), m, n, config)
         return obj
 
     def _init_from_t(self, t, m, n, config):
@@ -177,7 +181,7 @@ class Toeplitz(Structured):
         cev = self._cev
         if cev is None:
             # idempotent cache fill; concurrent duplicates compute equal arrays
-            cev = frozen(np.fft.fft(self.embed()))
+            cev = frozen(spectrum_of(self.embed()))
             self._cev = cev
         return cev
 

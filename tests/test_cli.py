@@ -266,3 +266,27 @@ def test_solve_direct_methods_report(tmp_path, capsys, method, m):
     assert fields["iterations"] == "0"
     assert fields["flag"] == "converged"
     assert float(fields["relative_residual"]) <= 1e-10
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; no option or config setting of
+    # one call may reach the next
+    path = tmp_path / "t.smt"
+    keys = ("method", "precond", "embedding", "toeprem", "intsolve", "tol", "maxit")
+    code, _, _ = run(capsys, "gen", "tkms", "6", "--rho", "0.5", "-o", str(path),
+                     "--embedding", "tight", "--no-toeprem")
+    assert code == EXIT_OK
+    code, stdout, _ = run(capsys, "solve", str(path), "--rhs-ones", "--method", "pcg",
+                          "--precond", "strang", "--tol", "1e-3", "--maxit", "50",
+                          "--embedding", "tight", "--no-toeprem", "--no-intsolve")
+    fields = report_dict(stdout)
+    assert code == EXIT_OK
+    assert tuple(fields[k] for k in keys) == ("pcg", "strang", "tight", "off", "off",
+                                             "0.001", "50")
+    code, stdout, _ = run(capsys, "solve", str(path), "--rhs-ones")
+    fields = report_dict(stdout)
+    assert code == EXIT_OK
+    assert tuple(fields[k] for k in keys) == ("auto", "none", "pow2", "on", "on",
+                                             "1e-07", "-")
+    code, stdout, _ = run(capsys, "info", str(path))
+    assert report_dict(stdout)["cev"] == "16"  # pow2 embedding of 6x6
