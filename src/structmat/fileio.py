@@ -9,6 +9,14 @@ decimal digits so finite doubles round-trip bit-exactly.  Bodies are the
 first column for circulants (n lines), the diagonal vector in increasing
 diagonal order for Toeplitz (m+n-1 lines), row-major entries for dense
 (rows*cols lines) and the entries for vectors (n lines).
+
+Each body is one bulk operation.  Writing makes a single `%` format call
+over all entries; the imaginary field of a non-complex array is always
+`0`, so only real parts are formatted then.  Reading checks the header and
+the line count, then parses the whole body with one `np.loadtxt`.  Only
+when that parse fails does a per-line parser run, to name the offending
+line in the error; it accepts the same inputs and returns the same values,
+so the format and the error messages are those of a line-by-line reader.
 """
 
 from __future__ import annotations
@@ -26,11 +34,16 @@ __all__ = ["write_matrix", "read_matrix", "KINDS"]
 KINDS = ("circulant", "toeplitz", "dense", "vector")
 
 
-def _body(values) -> list[str]:
+def _body(values) -> str:
     flat = np.asarray(values).ravel()
-    re = np.real(flat)
-    im = np.imag(flat)
-    return [f"{re[i]:.17g} {im[i]:.17g}" for i in range(flat.shape[0])]
+    if np.iscomplexobj(flat):
+        # interleaved re, im; the widening to complex128 is exact
+        fields = flat.astype(np.complex128, copy=False).view(np.float64)
+        line = "%.17g %.17g"
+    else:
+        fields = flat  # the imaginary part is +0.0, whose .17g is "0"
+        line = "%.17g 0"
+    return "\n".join([line] * flat.shape[0]) % tuple(fields.tolist()) + "\n"
 
 
 def write_matrix(path, value) -> None:
@@ -54,9 +67,7 @@ def write_matrix(path, value) -> None:
         else:
             raise TypeError(f"cannot serialize object of type {type(value).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write("\n".join(body))
-        fh.write("\n")
+        fh.write(header + "\n" + body)
 
 
 def _parse_entry(line: str, lineno: int) -> complex:
@@ -73,11 +84,35 @@ def _parse_entry(line: str, lineno: int) -> complex:
         ) from None
 
 
+def _parse_body(lines) -> np.ndarray:
+    """Complex entries of the body `lines`, which start on line 2."""
+    try:
+        pairs = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+        if pairs.shape == (len(lines), 2):
+            return pairs.view(complex)[:, 0]  # not re + 1j*im: inf*1j is nan
+    except ValueError:
+        pass
+    # blank lines, a wrong field count, or tokens only float() reads (1_0):
+    # parse line by line to name the offending line, or to accept the tokens
+    return np.array([_parse_entry(line, i + 2) for i, line in enumerate(lines)])
+
+
+def _decode(raw: bytes, path) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line holding the bad byte; "x" stands in for that byte
+        lineno = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise MatrixFileError(
+            f"{os.fspath(path)}: line {lineno}: not UTF-8 text ({exc.reason})"
+        ) from None
+
+
 def read_matrix(path):
     """Parse a structured-matrix file; returns a Circulant, Toeplitz or
     ndarray (2-d for dense, 1-d for vector)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        lines = _decode(fh.read(), path).splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -116,7 +151,7 @@ def read_matrix(path):
             f"{os.fspath(path)}: {kind} body needs {expected} entry lines, "
             f"found {len(body)}"
         )
-    values = np.array([_parse_entry(line, i + 2) for i, line in enumerate(body)])
+    values = _parse_body(body)
     if np.all(values.imag == 0.0):
         values = values.real
 

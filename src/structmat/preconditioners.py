@@ -20,7 +20,7 @@ import threading
 
 import numpy as np
 
-from ._structured import entries_of
+from ._structured import entries_of, spectrum_of
 from .circulant import Circulant
 from .dft import next_pow2
 from .errors import DimensionMismatchError, SingularMatrixError
@@ -127,18 +127,21 @@ def _gram_projection_ev(T: Toeplitz) -> np.ndarray:
     With P = t[d >= 0], N = t[d < 0] and corr(X, Y)[s] = sum_u X[u+s] conj(Y[u])
     the weighted sum at lag s >= 0 is corr((n-d) P, P) + corr(N, (n+d) N)
     + max(0, n-s) corr(P, N), and lag -s is its conjugate (T T* is Hermitian).
+    Real t takes half-length rfft/irfft throughout and folds to real values.
     """
     n = T.shape[0]
+    L = next_pow2(4 * n - 3)
     d = np.arange(1 - n, n)
     P = np.where(d >= 0, T.t, 0)
     N = T.t - P
-    F = np.fft.fft([P, (n - d) * P, N, (n + d) * N], next_pow2(4 * n - 3))
-    same, mixed = np.fft.ifft(
-        [F[1] * np.conj(F[0]) + F[2] * np.conj(F[3]), F[0] * np.conj(F[2])]
-    )[:, : 2 * n - 1]  # lags 0..2n-2, unwrapped as the length is >= 4n-3
+    real = T.isreal
+    F = (np.fft.rfft if real else np.fft.fft)([P, (n - d) * P, N, (n + d) * N], L)
+    G = [F[1] * np.conj(F[0]) + F[2] * np.conj(F[3]), F[0] * np.conj(F[2])]
+    # lags 0..2n-2, unwrapped as L >= 4n-3
+    same, mixed = (np.fft.irfft(G, L) if real else np.fft.ifft(G))[:, : 2 * n - 1]
     r = same + np.maximum(n - np.arange(2 * n - 1), 0) * mixed
     r = np.concatenate([np.conj(r[:0:-1]), r])  # lags 2-2n..2n-2
-    return np.fft.fft(_fold(r, np.arange(2 - 2 * n, 2 * n - 1), n) / n)
+    return spectrum_of(_fold(r, np.arange(2 - 2 * n, 2 * n - 1), n) / n)
 
 
 def _fold(values, lags, n):

@@ -29,6 +29,11 @@ def dft_direct(v):
     return out
 
 
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: NaN matches NaN, -0.0 differs from 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def dense_circulant(col):
     """Dense circulant built column by column from cyclic shifts."""
     col = np.asarray(col)

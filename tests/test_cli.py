@@ -92,6 +92,16 @@ def test_info_truncated_file(tmp_path, capsys):
     assert code == EXIT_IO and "needs 7 entry lines, found 1" in err
 
 
+@pytest.mark.parametrize("data", [b"smt vector 3\n1 0\n2\xff 0\n3 0\n",
+                                  b"smt vector 3\r\n1 0\r\n\xe92 0\r\n3 0\r\n"])
+def test_info_non_utf8_file_is_io_error(tmp_path, capsys, data):
+    path = tmp_path / "bad.smt"
+    path.write_bytes(data)
+    code, _, err = run(capsys, "info", str(path))
+    assert code == EXIT_IO
+    assert "MatrixFileError" in err and "line 3: not UTF-8 text" in err
+
+
 def test_precond_strang_pipeline_values(tmp_path, capsys):
     tri = tmp_path / "tri.smt"
     out = tmp_path / "c.smt"

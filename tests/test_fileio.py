@@ -9,6 +9,8 @@ from structmat import (
     write_matrix,
 )
 
+from conftest import same_bits
+
 
 def roundtrip(tmp_path, value, name="m.smt"):
     path = tmp_path / name
@@ -57,6 +59,75 @@ def test_bit_exact_for_awkward_doubles(tmp_path):
     complex_vals = vals[:500] + 1j * vals[500:1000]
     backc = roundtrip(tmp_path, complex_vals, "c.smt")
     assert np.array_equal(backc, complex_vals)
+    # non-finite values round-trip too; NaN != NaN, so compare the bits
+    special = np.concatenate([vals, [np.inf, -np.inf, np.nan]])
+    assert same_bits(roundtrip(tmp_path, special, "s.smt"), special)
+    special_c = np.empty(9, dtype=complex)
+    special_c.real = [np.inf, -np.inf, np.nan, 1.0, -0.0, np.nan, np.inf, 0.0, -0.0]
+    special_c.imag = [0.0, np.nan, -np.inf, np.inf, np.nan, np.nan, -0.0, -0.0, np.inf]
+    assert same_bits(roundtrip(tmp_path, special_c, "sc.smt"), special_c)
+
+
+def per_entry_body(values):
+    """The per-entry formatter that the bulk writer replaced, kept as the
+    byte oracle of the file format."""
+    flat = np.asarray(values).ravel()
+    re = np.real(flat)
+    im = np.imag(flat)
+    return "\n".join([f"{re[i]:.17g} {im[i]:.17g}" for i in range(flat.shape[0])]) + "\n"
+
+
+def awkward_values(dtype, finite, rng):
+    """14 values of `dtype`: random magnitudes over the exponent range, the
+    signed zeros, subnormals and, unless `finite`, inf, NaN and the largest
+    double."""
+    if np.issubdtype(dtype, np.integer):
+        return np.concatenate([rng.integers(-(2**62), 2**62, 10),
+                               [0, -1, 2**53 + 1, 2**63 - 1]]).astype(dtype)
+    e = int(np.log10(np.finfo(dtype).max)) - 2
+    x = rng.standard_normal(14) * 10.0 ** rng.integers(-e, e, 14)
+    specials = [-0.0, 0.0, 5e-324, -1e-320, 1e-45, 2.0**53 + 2, 0.1]
+    if not finite:
+        specials += [np.inf, -np.inf, np.nan, 1.7976931348623157e308]
+    x[: len(specials)] = specials
+    if np.issubdtype(dtype, np.complexfloating):
+        z = np.empty(14, dtype=complex)
+        z.real, z.imag = x, rng.permutation(x)
+        x = z
+    with np.errstate(over="ignore"):  # the largest double narrows to inf
+        return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int64, np.float32,
+                                   np.complex64])
+@pytest.mark.parametrize("kind", ["circulant", "toeplitz", "dense", "vector"])
+def test_written_bytes_match_per_entry_formatter(tmp_path, kind, dtype):
+    rng = np.random.default_rng(5)
+    x = awkward_values(dtype, kind in ("circulant", "toeplitz"), rng)
+    if kind == "circulant":
+        value = Circulant(x)
+        header, stored = "smt circulant 14", value.col
+    elif kind == "toeplitz":
+        value = Toeplitz.from_diagonals(x, 5, 10)
+        header, stored = "smt toeplitz 5 10", value.t
+    elif kind == "dense":
+        value = stored = x.reshape(2, 7)
+        header = "smt dense 2 7"
+    else:
+        value = stored = x
+        header = "smt vector 14"
+    path = tmp_path / "m.smt"
+    write_matrix(path, value)
+    want = (header + "\n" + per_entry_body(stored)).encode("utf-8")
+    assert path.read_bytes() == want
+    back = read_matrix(path)
+    back = back.col if kind == "circulant" else back.t if kind == "toeplitz" else back
+    # the file holds doubles, and the reader narrows complex to real only
+    # when every imaginary part is zero
+    wide = np.asarray(stored, dtype=np.result_type(stored, np.float64))
+    if np.iscomplexobj(wide) and np.all(wide.imag == 0.0):
+        wide = wide.real
+    assert same_bits(back, wide)
 
 
 def test_header_layout(tmp_path):
