@@ -47,6 +47,7 @@ from .errors import DimensionMismatchError
 __all__ = [
     "ENTRYWISE_MAPS",
     "Structured",
+    "cyclic_reverse",
     "entries_of",
     "reversal_index",
     "spectral_apply",
@@ -81,6 +82,11 @@ ENTRYWISE_MAPS = {
 def reversal_index(n):
     # k -> (-k) mod n; reverses a column/spectrum around index 0
     return np.mod(-np.arange(n), n)
+
+
+def cyclic_reverse(v):
+    """v[reversal_index(len(v))] by two slices instead of an index gather."""
+    return np.concatenate([v[:1], v[:0:-1]])
 
 
 def spectrum_of(x):

@@ -36,13 +36,6 @@ def is_scalar(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim == 0
 
 
-def realify(arr, real_result: bool):
-    """Drop the (roundoff) imaginary part when the exact result is real."""
-    if real_result and np.iscomplexobj(arr):
-        return np.ascontiguousarray(arr.real)
-    return arr
-
-
 def frozen(arr):
     """Return `arr` marked read-only (the caller must own it)."""
     arr.flags.writeable = False

@@ -19,7 +19,7 @@ import operator
 
 import numpy as np
 
-from ._structured import Structured, entries_of, reversal_index, spectral_apply, spectrum_of
+from ._structured import Structured, cyclic_reverse, entries_of, spectral_apply, spectrum_of
 from ._util import as_vector, frozen, require_finite
 from .dft import fourier_matrix
 from .errors import SingularMatrixError
@@ -118,7 +118,7 @@ class Circulant(Structured):
         if arr.ndim == 1:
             arr = as_vector(b, "right-hand side")
         self._check_operand(arr, "right-hand side")
-        spectrum = self._ev if side == "left" else self._ev[reversal_index(self.n)]
+        spectrum = self._ev if side == "left" else cyclic_reverse(self._ev)
         self._check_nonsingular()
         return spectral_apply(spectrum, arr, self.n,
                               self.isreal and not np.iscomplexobj(arr), divide=True)
@@ -166,11 +166,10 @@ class Circulant(Structured):
 
     def transpose(self, conjugate: bool = False) -> "Circulant":
         """Transpose (or conjugate transpose); no transforms involved."""
-        rev = reversal_index(self.n)
-        col = self._col[rev]
+        col = cyclic_reverse(self._col)
         if conjugate:
             return Circulant._from_parts(np.conj(col), np.conj(self._ev))
-        return Circulant._from_parts(col, self._ev[rev])
+        return Circulant._from_parts(col, cyclic_reverse(self._ev))
 
     def to_toeplitz(self):
         """The same matrix as an n-by-n Toeplitz value."""

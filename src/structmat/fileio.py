@@ -8,7 +8,8 @@ followed by one entry per line as `<re> <im>`, printed with 17 significant
 decimal digits so finite doubles round-trip bit-exactly.  Bodies are the
 first column for circulants (n lines), the diagonal vector in increasing
 diagonal order for Toeplitz (m+n-1 lines), row-major entries for dense
-(rows*cols lines) and the entries for vectors (n lines).
+(rows*cols lines) and the entries for vectors (n lines).  Circulant and
+Toeplitz bodies must be finite; dense and vector bodies may hold inf/nan.
 
 Each body is one bulk operation.  Writing makes a single `%` format call
 over all entries; the imaginary field of a non-complex array is always
@@ -155,10 +156,13 @@ def read_matrix(path):
     if np.all(values.imag == 0.0):
         values = values.real
 
-    if kind == "circulant":
-        return Circulant(values)
-    if kind == "toeplitz":
-        return Toeplitz.from_diagonals(values, m, n)
+    try:
+        if kind == "circulant":
+            return Circulant(values)
+        if kind == "toeplitz":
+            return Toeplitz.from_diagonals(values, m, n)
+    except ValueError as exc:  # non-finite entries
+        raise MatrixFileError(f"{os.fspath(path)}: {exc}") from None
     if kind == "dense":
         return values.reshape(m, n)
     return values

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_vector, realify
+from ._util import as_vector
 from .circulant import Circulant
 from .config import Config, config_get
 from .errors import (
@@ -65,6 +65,23 @@ class SolveReport:
     flag: SolveFlag
 
 
+def _rhs(b, rows: int) -> np.ndarray:
+    """The right-hand side `b` as a vector, which must have `rows` entries."""
+    bv = as_vector(b, "right-hand side")
+    if bv.shape[0] != rows:
+        raise DimensionMismatchError(
+            f"right-hand side has length {bv.shape[0]}, expected {rows}"
+        )
+    return bv
+
+
+def _check_overdetermined(m: int, n: int) -> None:
+    if m <= n:
+        raise UnderdeterminedError(
+            f"underdetermined system: {m}x{n} has no more rows than columns"
+        )
+
+
 def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     """Solve a square nonsingular Toeplitz system by Levinson recursion.
 
@@ -79,11 +96,7 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     m, n = T.shape
     if m != n:
         raise DimensionMismatchError(f"levinson_solve requires a square matrix, got {m}x{n}")
-    bv = as_vector(b, "right-hand side")
-    if bv.shape[0] != n:
-        raise DimensionMismatchError(
-            f"right-hand side has length {bv.shape[0]}, expected {n}"
-        )
+    bv = _rhs(b, n)
     a = T.t  # a[d + n - 1] holds diagonal d
     scale = np.abs(a).max()
     t0 = a[n - 1]
@@ -123,7 +136,7 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
         f[: k + 1] = f_new / denom
         w[: k + 1] = w_new / denom
         x[: k + 1] += eta * w[: k + 1]
-    return realify(x, T.isreal and not np.iscomplexobj(bv))
+    return x
 
 
 def toep_lstsq(T: Toeplitz, b, rtol: float = LSTSQ_RTOL) -> np.ndarray:
@@ -137,16 +150,8 @@ def toep_lstsq(T: Toeplitz, b, rtol: float = LSTSQ_RTOL) -> np.ndarray:
     if not isinstance(T, Toeplitz):
         raise TypeError("toep_lstsq expects a Toeplitz matrix")
     m, n = T.shape
-    if m <= n:
-        raise UnderdeterminedError(
-            f"underdetermined system: {m}x{n} has no more rows than columns"
-        )
-    bv = as_vector(b, "right-hand side")
-    if bv.shape[0] != m:
-        raise DimensionMismatchError(
-            f"right-hand side has length {bv.shape[0]}, expected {m}"
-        )
-    real = T.isreal and not np.iscomplexobj(bv)
+    _check_overdetermined(m, n)
+    bv = _rhs(b, m)
     if n < LSTSQ_DENSE_CUTOFF:
         A = T.full()
         q, r = np.linalg.qr(A)
@@ -156,14 +161,11 @@ def toep_lstsq(T: Toeplitz, b, rtol: float = LSTSQ_RTOL) -> np.ndarray:
                 "rank deficient: QR diagonal spans more than "
                 f"{1 / LSTSQ_RDIAG_RTOL:.0e}"
             )
-        from numpy.linalg import solve
-
-        x = solve(r, q.conj().T @ bv)
-        return realify(x, real)
-    return _cgls(T, bv, rtol, real)
+        return np.linalg.solve(r, q.conj().T @ bv)
+    return _cgls(T, bv, rtol)
 
 
-def _cgls(T: Toeplitz, b, rtol, real):
+def _cgls(T: Toeplitz, b, rtol):
     m, n = T.shape
     TH = T.H
     dtype = np.result_type(T.dtype, b.dtype, np.float64)
@@ -185,7 +187,7 @@ def _cgls(T: Toeplitz, b, rtol, real):
         s = TH.matvec(r)
         gamma_new = np.real(np.vdot(s, s))
         if np.sqrt(gamma_new) <= target:
-            return realify(x, real)
+            return x
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
     raise RankDeficientError(
@@ -228,11 +230,7 @@ def pcg_solve(
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     apply_A, order = _as_operator(apply_A)
-    bv = as_vector(b, "right-hand side")
-    if order is not None and bv.shape[0] != order:
-        raise DimensionMismatchError(
-            f"right-hand side has length {bv.shape[0]}, expected {order}"
-        )
+    bv = as_vector(b, "right-hand side") if order is None else _rhs(b, order)
     if maxit is None:
         maxit = bv.shape[0]
     if maxit < 1:
@@ -244,37 +242,41 @@ def pcg_solve(
     def precond(v):
         return M.solve(v) if M is not None else v
 
-    x = np.zeros_like(bv, dtype=np.result_type(bv.dtype, np.float64))
-    r = bv.copy().astype(x.dtype)
-    z = precond(r)
-    p = np.array(z, dtype=np.result_type(x.dtype, z.dtype), copy=True)
-    x = x.astype(p.dtype)
-    r = r.astype(p.dtype)
+    def true_residual(x):
+        r = bv - apply_A(x)
+        return r, float(np.linalg.norm(r) / bnorm)
+
+    z = precond(bv)
+    dtype = np.result_type(bv, z)
+    x = np.zeros(bv.shape[0], dtype=dtype)
+    r = bv.astype(dtype)
+    p = z.astype(dtype)
     rho = np.vdot(r, z)
-    iterations = 0
+    flag = None
     for iterations in range(1, maxit + 1):
         q = apply_A(p)
         pq = np.vdot(p, q)
         if not np.isfinite(pq) or pq == 0.0:
-            rel = float(np.linalg.norm(bv - apply_A(x)) / bnorm)
-            return x, SolveReport(iterations, rel, SolveFlag.BREAKDOWN)
+            flag = SolveFlag.BREAKDOWN
+            break
         alpha = rho / pq
-        x = x + alpha * p
+        x = x + alpha * p  # out of place: a complex operator upcasts a real x
         r = r - alpha * q
         if not np.all(np.isfinite(r)):
-            rel = float(np.linalg.norm(bv - apply_A(x)) / bnorm)
-            return x, SolveReport(iterations, rel, SolveFlag.BREAKDOWN)
+            flag = SolveFlag.BREAKDOWN
+            break
         if np.linalg.norm(r) <= tol * bnorm:
-            true_rel = float(np.linalg.norm(bv - apply_A(x)) / bnorm)
-            if true_rel <= tol:
-                return x, SolveReport(iterations, true_rel, SolveFlag.CONVERGED)
-            r = bv - apply_A(x)  # recurrence drifted; restart from the true residual
+            r_true, rel = true_residual(x)
+            if rel <= tol:
+                return x, SolveReport(iterations, rel, SolveFlag.CONVERGED)
+            r = r_true  # recurrence drifted; restart from the true residual
         z = precond(r)
         rho_new = np.vdot(r, z)
         p = z + (rho_new / rho) * p
         rho = rho_new
-    rel = float(np.linalg.norm(bv - apply_A(x)) / bnorm)
-    flag = SolveFlag.CONVERGED if rel <= tol else SolveFlag.MAX_ITERATIONS
+    rel = true_residual(x)[1]
+    if flag is None:
+        flag = SolveFlag.CONVERGED if rel <= tol else SolveFlag.MAX_ITERATIONS
     return x, SolveReport(iterations, rel, flag)
 
 
@@ -283,19 +285,13 @@ def pcg_solve(
 
 def _dense_tsolve(T: Toeplitz, b) -> np.ndarray:
     """Default registered square solver: dense LU on the full matrix."""
-    x = np.linalg.solve(T.full(), np.asarray(b))
-    return realify(x, T.isreal and not np.iscomplexobj(np.asarray(b)))
+    return np.linalg.solve(T.full(), np.asarray(b))
 
 
 def _dense_tsolvels(T: Toeplitz, b) -> np.ndarray:
     """Default registered least-squares solver: dense QR on the full matrix."""
-    m, n = T.shape
-    if m <= n:
-        raise UnderdeterminedError(
-            f"underdetermined system: {m}x{n} has no more rows than columns"
-        )
-    x, *_ = np.linalg.lstsq(T.full(), np.asarray(b), rcond=None)
-    return realify(x, T.isreal and not np.iscomplexobj(np.asarray(b)))
+    _check_overdetermined(*T.shape)
+    return np.linalg.lstsq(T.full(), np.asarray(b), rcond=None)[0]
 
 
 _solver_lock = threading.Lock()

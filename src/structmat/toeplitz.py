@@ -29,7 +29,7 @@ import operator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._structured import Structured, reversal_index, spectral_apply, spectrum_of
+from ._structured import Structured, cyclic_reverse, spectral_apply, spectrum_of
 from ._util import as_vector, frozen, require_finite
 from .config import Config, EmbeddingPolicy, config_get, embedded_size
 from .errors import DimensionMismatchError, UnsupportedOperationError
@@ -212,7 +212,7 @@ class Toeplitz(Structured):
             t = np.conj(t)
             new_cev = np.conj(cev) if cev is not None else None
         else:
-            new_cev = cev[reversal_index(cev.shape[0])] if cev is not None else None
+            new_cev = cyclic_reverse(cev) if cev is not None else None
         return Toeplitz._from_parts(t, self._n, self._m, self._policy, self._eager, new_cev)
 
     def scale(self, alpha) -> "Toeplitz":

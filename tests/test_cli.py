@@ -102,6 +102,18 @@ def test_info_non_utf8_file_is_io_error(tmp_path, capsys, data):
     assert "MatrixFileError" in err and "line 3: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("text, what", [
+    ("smt circulant 2\ninf 0\n1 0\n", "first column"),
+    ("smt toeplitz 2 2\n1 0\nnan 0\n1 0\n", "diagonal vector"),
+], ids=["circulant", "toeplitz"])
+def test_info_non_finite_structured_body_is_io_error(tmp_path, capsys, text, what):
+    path = tmp_path / "bad.smt"
+    path.write_text(text)
+    code, _, err = run(capsys, "info", str(path))
+    assert code == EXIT_IO
+    assert f"MatrixFileError: {path}: {what} contains non-finite entries" in err
+
+
 def test_precond_strang_pipeline_values(tmp_path, capsys):
     tri = tmp_path / "tri.smt"
     out = tmp_path / "c.smt"

@@ -4,6 +4,7 @@ import pytest
 from structmat import (
     BreakdownError,
     Circulant,
+    Config,
     DimensionMismatchError,
     RankDeficientError,
     SolveFlag,
@@ -200,6 +201,66 @@ def test_pcg_strang_never_slower_on_gallery(name):
     assert prec.iterations <= plain.iterations
 
 
+
+def counted(A):
+    """A callable operator for dense `A` that counts its applications."""
+    def apply(v):
+        apply.calls += 1
+        return A @ v
+    apply.calls = 0
+    return apply
+
+
+def assert_true_residual(A, b, x, report):
+    assert report.relative_residual == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+
+
+def test_pcg_breakdown_on_zero_curvature():
+    A, b = np.diag([1.0, -1.0]), np.ones(2)  # p* A p = 0 at iteration 1
+    x, report = pcg_solve(A, b)
+    assert report.flag is SolveFlag.BREAKDOWN and report.iterations == 1
+    assert np.array_equal(x, np.zeros(2))
+    assert_true_residual(A, b, x, report)
+
+
+def test_pcg_breakdown_on_overflowing_residual():
+    # p* A p = 0.5, so alpha = 2, and alpha * (A p)[1] overflows in r
+    A, b = np.array([[0.5, 0.0], [1e308, 1.0]]), np.array([1.0, 0.0])
+    with np.errstate(over="ignore"):
+        x, report = pcg_solve(A, b)
+        assert report.flag is SolveFlag.BREAKDOWN and report.iterations == 1
+        assert np.array_equal(x, np.array([2.0, 0.0]))
+        assert_true_residual(A, b, x, report)
+
+
+def test_pcg_recurrence_drift_restarts_from_true_residual():
+    # an operator rounded to single precision: the recurrence residual falls
+    # below 1e-12 while the true one stays near 1e-8, so the loop restarts
+    rng = np.random.default_rng(41)
+    n, maxit = 8, 40
+    A = smtgallery("tkms", n, rho=0.5).full()
+    b = rng.standard_normal(n)
+    rounded = counted(A)
+
+    def apply(v):
+        return rounded(v).astype(np.float32).astype(np.float64)
+
+    x, report = pcg_solve(apply, b, tol=1e-12, maxit=maxit)
+    assert report.flag is SolveFlag.MAX_ITERATIONS and report.iterations == maxit
+    assert rounded.calls > maxit + 1  # a true residual was taken mid-run
+    assert report.relative_residual == np.linalg.norm(b - apply(x)) / np.linalg.norm(b)
+
+
+def test_pcg_stops_at_maxit():
+    A = smtgallery("gaussian", 64).full()
+    b = A @ np.ones(64)
+    apply = counted(A)
+    x, report = pcg_solve(apply, b, tol=1e-12, maxit=3)
+    assert report.flag is SolveFlag.MAX_ITERATIONS and report.iterations == 3
+    assert apply.calls == 4  # three iterations, then the true residual
+    assert_true_residual(A, b, x, report)
+
+
 # -- division dispatcher -----------------------------------------------------
 
 
@@ -266,3 +327,38 @@ def test_user_solver_is_called():
         from structmat.solvers import _dense_tsolve
 
         register_tsolve(_dense_tsolve)
+
+
+# -- result dtypes -------------------------------------------------------------
+
+
+def _solver_cases(n, t, b, M):
+    T = Toeplitz.from_diagonals(t[: 2 * n - 1], n, n)
+    tall = Toeplitz.from_diagonals(t, 2 * n, n)
+    off = Config(intsolve=False, intsolvels=False)
+    return {
+        "levinson": lambda: levinson_solve(T, b[:n]),
+        "lstsq": lambda: toep_lstsq(tall, b),
+        "dense tsolve": lambda: toep_divide(T, b[:n], config=off),
+        "dense tsolvels": lambda: toep_divide(tall, b, config=off),
+        "pcg": lambda: pcg_solve(T, b[:n], maxit=3)[0],
+        "pcg with M": lambda: pcg_solve(T, b[:n], M=M, maxit=3)[0],
+    }
+
+
+@pytest.mark.parametrize("n", [5, 70])  # QR below the lstsq cutoff, CGLS above
+@pytest.mark.parametrize("t_complex, b_complex, m_complex", [
+    (False, False, False), (True, False, False), (False, True, False),
+    (True, True, True), (False, False, True),
+])
+def test_solver_result_dtypes(n, t_complex, b_complex, m_complex):
+    rng = np.random.default_rng(n)
+    t = random_complex(rng, 3 * n - 1) if t_complex else rng.standard_normal(3 * n - 1)
+    t[n - 1] += 4.0 * np.sqrt(3 * n)  # the main diagonal of both shapes
+    b = random_complex(rng, 2 * n) if b_complex else rng.standard_normal(2 * n)
+    c = random_complex(rng, n) if m_complex else rng.standard_normal(n)
+    c[0] += np.abs(c).sum() + 1.0
+    want = np.complex128 if t_complex or b_complex else np.float64
+    for name, solve in _solver_cases(n, t, b, Circulant(c)).items():
+        expected = np.complex128 if name == "pcg with M" and m_complex else want
+        assert solve().dtype == expected, name

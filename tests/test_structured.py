@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from structmat import Circulant, DimensionMismatchError, Toeplitz
+from structmat._structured import cyclic_reverse, reversal_index
 
-from conftest import dense_circulant, dense_toeplitz, random_complex, rel_err
+from conftest import dense_circulant, dense_toeplitz, random_complex, rel_err, same_bits
 
 
 def test_operator_table_against_dense_oracles():
@@ -81,3 +82,10 @@ def test_single_precision_operands_are_applied_in_double_precision():
                          (T @ X, dense_T @ wide), (X.T @ T, wide.T @ dense_T)):
             assert got.dtype == ref.dtype
             assert rel_err(got, ref) <= 1e-5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8])
+def test_cyclic_reverse_is_the_reversal_gather(n):
+    rng = np.random.default_rng(n)
+    for v in (rng.standard_normal(n), random_complex(rng, n)):
+        assert same_bits(cyclic_reverse(v), v[reversal_index(n)])
