@@ -25,13 +25,11 @@ from .config import (
 )
 from .errors import (
     BreakdownError,
-    DimensionMismatchError,
     MatrixFileError,
     RankDeficientError,
     SingularMatrixError,
     StructmatError,
     UnderdeterminedError,
-    UnsupportedOperationError,
 )
 from .fileio import read_matrix, write_matrix
 from .gallery import GALLERY_NAMES, smtgallery
@@ -50,6 +48,24 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+# Error classes and their exit codes; the first row that matches wins, so
+# the ValueError subclasses of the first two rows never reach the last.
+_EXIT_CODES = (
+    ((SingularMatrixError, BreakdownError, RankDeficientError, UnderdeterminedError,
+      np.linalg.LinAlgError), EXIT_NUMERICAL),
+    ((MatrixFileError, OSError), EXIT_IO),
+    ((StructmatError, ValueError, TypeError, OverflowError), EXIT_USAGE),
+)
+_HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
+
+# Configuration switches, each turned off by a --no-<key> flag on every command.
+_SWITCHES = {
+    "toeprem": "skip eager embedding-eigenvalue precomputation",
+    "intsolve": "route square Toeplitz division to the registered solver",
+    "intsolvels": "route overdetermined division to the registered solver",
+    "warnings": "silence non-fatal diagnostics",
+}
 
 # Dense comparison columns are dropped from benchmarks above this order.
 BENCH_DENSE_CUTOFF = 2048
@@ -86,12 +102,12 @@ def _parse_param_value(raw: str):
 def _collect_params(args) -> dict:
     params = {}
     for key in ("seed", "p", "rho", "w", "alpha", "delta", "k"):
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             params[key] = value
-    if getattr(args, "complex", False):
+    if args.complex:
         params["complex"] = True
-    for item in getattr(args, "param", None) or []:
+    for item in args.param or []:
         if "=" not in item:
             raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
@@ -101,7 +117,7 @@ def _collect_params(args) -> dict:
 
 def _apply_global_config(args) -> Config:
     config_reset()
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
@@ -117,16 +133,11 @@ def _apply_global_config(args) -> Config:
                 )
             key, _, value = text.partition("=")
             config_set(key.strip(), value.strip())
-    if getattr(args, "embedding", None):
+    if args.embedding:
         config_set("embedding", args.embedding)
-    if getattr(args, "no_toeprem", False):
-        config_set("toeprem", False)
-    if getattr(args, "no_intsolve", False):
-        config_set("intsolve", False)
-    if getattr(args, "no_intsolvels", False):
-        config_set("intsolvels", False)
-    if getattr(args, "no_warnings", False):
-        config_set("warnings", False)
+    for key in _SWITCHES:
+        if getattr(args, f"no_{key}"):
+            config_set(key, False)
     return config_get()
 
 
@@ -206,6 +217,8 @@ def run_solve(args) -> int:
     A = read_matrix(args.matrix)
     if args.rhs is None and not args.rhs_ones:
         raise StructmatError("solve needs an rhs file or --rhs-ones")
+    if len(A.shape) != 2:
+        raise MatrixFileError(f"{args.matrix}: expected a matrix file")
     if args.rhs_ones:
         b = A @ np.ones(A.shape[1])
         rhs_label = "ones-image"
@@ -266,7 +279,7 @@ def _median_time(fn, reps: int) -> float:
     return statistics.median(times)
 
 
-def bench_matvec(sizes, reps, policies, dense_cutoff=BENCH_DENSE_CUTOFF):
+def bench_matvec(sizes, reps, policies):
     """Fast-vs-dense matvec benchmark rows (op,n,policy,fast,dense,err)."""
     rows = []
     rng = np.random.default_rng(_BENCH_SEED)
@@ -277,7 +290,7 @@ def bench_matvec(sizes, reps, policies, dense_cutoff=BENCH_DENSE_CUTOFF):
             cfg = Config(embedding=policy, toeprem=True)
             T = Toeplitz.from_diagonals(t, n, n, config=cfg)
             fast = _median_time(lambda: T @ x, reps)
-            if n <= dense_cutoff:
+            if n <= BENCH_DENSE_CUTOFF:
                 A = T.full()
                 dense = _median_time(lambda: A @ x, reps)
                 ref = A @ x
@@ -290,7 +303,7 @@ def bench_matvec(sizes, reps, policies, dense_cutoff=BENCH_DENSE_CUTOFF):
     return rows
 
 
-def bench_solve(sizes, reps, policies, dense_cutoff=BENCH_DENSE_CUTOFF):
+def bench_solve(sizes, reps, policies):
     """Levinson-vs-dense-LU solve benchmark rows."""
     rows = []
     for n in sizes:
@@ -300,7 +313,7 @@ def bench_solve(sizes, reps, policies, dense_cutoff=BENCH_DENSE_CUTOFF):
             T = Toeplitz.from_diagonals(T.t, n, n, config=cfg)
             b = T @ np.ones(n)
             fast = _median_time(lambda: levinson_solve(T, b), reps)
-            if n <= dense_cutoff:
+            if n <= BENCH_DENSE_CUTOFF:
                 A = T.full()
                 dense = _median_time(lambda: np.linalg.solve(A, b), reps)
                 ref = np.linalg.solve(A, b)
@@ -316,6 +329,8 @@ def run_bench(args) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     if not sizes or any(n < 1 for n in sizes):
         raise StructmatError(f"invalid --sizes {args.sizes!r}")
+    if args.reps < 1:
+        raise StructmatError(f"invalid --reps {args.reps}; expected at least 1")
     policies = (
         [EmbeddingPolicy.TIGHT, EmbeddingPolicy.POW2]
         if args.policies == "both"
@@ -343,14 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--embedding", choices=["tight", "pow2"],
                         help="circulant-embedding size policy")
-    common.add_argument("--no-toeprem", action="store_true",
-                        help="skip eager embedding-eigenvalue precomputation")
-    common.add_argument("--no-intsolve", action="store_true",
-                        help="route square Toeplitz division to the registered solver")
-    common.add_argument("--no-intsolvels", action="store_true",
-                        help="route overdetermined division to the registered solver")
-    common.add_argument("--no-warnings", action="store_true",
-                        help="silence non-fatal diagnostics")
+    for key, text in _SWITCHES.items():
+        common.add_argument(f"--no-{key}", action="store_true", help=text)
     common.add_argument("--config", metavar="FILE",
                         help="key=value configuration file, one entry per line")
 
@@ -422,17 +431,10 @@ def main(argv=None) -> int:
     try:
         _apply_global_config(args)
         return args.func(args)
-    except (SingularMatrixError, BreakdownError, RankDeficientError,
-            UnderdeterminedError) as exc:
+    except _HANDLED as exc:
+        code = next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (MatrixFileError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (StructmatError, UnsupportedOperationError, DimensionMismatchError,
-            ValueError, TypeError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return code
 
 
 if __name__ == "__main__":

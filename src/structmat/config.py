@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .dft import next_pow2
 from .errors import StructmatError
@@ -45,11 +45,16 @@ class Config:
 _lock = threading.Lock()
 _default = Config()
 
+_KEYS = tuple(f.name for f in fields(Config))
 _ONOFF = {"on": True, "off": False, "true": True, "false": False,
           "1": True, "0": False}
 
 
 def _parse_value(key: str, value):
+    if key not in _KEYS:
+        raise StructmatError(
+            f"unknown configuration key {key!r}; valid keys: {', '.join(_KEYS)}"
+        )
     if key == "embedding":
         if isinstance(value, EmbeddingPolicy):
             return value
@@ -59,19 +64,15 @@ def _parse_value(key: str, value):
             raise StructmatError(
                 f"invalid embedding {value!r}; expected 'tight' or 'pow2'"
             ) from None
-    if key in ("toeprem", "intsolve", "intsolvels", "warnings"):
-        if isinstance(value, bool):
-            return value
-        try:
-            return _ONOFF[str(value).strip().lower()]
-        except KeyError:
-            raise StructmatError(
-                f"invalid value {value!r} for {key}; expected 'on' or 'off'"
-            ) from None
-    raise StructmatError(
-        f"unknown configuration key {key!r}; valid keys: "
-        "embedding, toeprem, intsolve, intsolvels, warnings"
-    )
+    # every other key is an on/off switch
+    if isinstance(value, bool):
+        return value
+    try:
+        return _ONOFF[str(value).strip().lower()]
+    except KeyError:
+        raise StructmatError(
+            f"invalid value {value!r} for {key}; expected 'on' or 'off'"
+        ) from None
 
 
 def config_get() -> Config:

@@ -8,6 +8,7 @@ and band values are explicit parameters with documented defaults.
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import numpy as np
@@ -17,10 +18,6 @@ from .config import config_get
 from .toeplitz import Toeplitz
 
 __all__ = ["smtgallery", "GALLERY_NAMES"]
-
-
-def _rng(params):
-    return np.random.default_rng(params.pop("seed", None))
 
 
 def _square_size(size, name):
@@ -49,7 +46,8 @@ def _rect_size(size):
     return m, n
 
 
-def _random_values(rng, count, normal, want_complex):
+def _random_values(seed, count, normal, want_complex):
+    rng = np.random.default_rng(seed)
     draw = rng.standard_normal if normal else rng.random
     vals = draw(count)
     if want_complex:
@@ -57,63 +55,50 @@ def _random_values(rng, count, normal, want_complex):
     return vals
 
 
-def _symmetric_from_kernel(n, kernel):
-    """Hermitian Toeplitz from one-sided diagonal values kernel(k), k >= 0."""
-    col = kernel(np.arange(n))
-    return Toeplitz(col)
+def _gen_crrand(n, *, seed=None, complex=False):
+    return Circulant(_random_values(seed, n, False, complex))
 
 
-def _gen_crrand(n, params):
-    rng = _rng(params)
-    return Circulant(_random_values(rng, n, False, params.pop("complex", False)))
+def _gen_crrandn(n, *, seed=None, complex=False):
+    return Circulant(_random_values(seed, n, True, complex))
 
 
-def _gen_crrandn(n, params):
-    rng = _rng(params)
-    return Circulant(_random_values(rng, n, True, params.pop("complex", False)))
-
-
-def _gen_tprand(size, params):
-    m, n = _rect_size(size)
-    rng = _rng(params)
-    t = _random_values(rng, m + n - 1, False, params.pop("complex", False))
+def _gen_tprand(m, n, *, seed=None, complex=False):
+    t = _random_values(seed, m + n - 1, False, complex)
     return Toeplitz.from_diagonals(t, m, n)
 
 
-def _gen_tprandn(size, params):
-    m, n = _rect_size(size)
-    rng = _rng(params)
-    t = _random_values(rng, m + n - 1, True, params.pop("complex", False))
+def _gen_tprandn(m, n, *, seed=None, complex=False):
+    t = _random_values(seed, m + n - 1, True, complex)
     return Toeplitz.from_diagonals(t, m, n)
 
 
-def _gen_algdec(n, params):
-    p = float(params.pop("p", 2.0))
-    return _symmetric_from_kernel(n, lambda k: (1.0 + k) ** (-p))
+def _gen_algdec(n, *, p=2.0):
+    p = float(p)
+    return Toeplitz((1.0 + np.arange(n)) ** (-p))
 
 
-def _gen_expdec(n, params):
-    p = float(params.pop("p", 0.5))
-    return _symmetric_from_kernel(n, lambda k: np.exp(-p * k))
+def _gen_expdec(n, *, p=0.5):
+    p = float(p)
+    return Toeplitz(np.exp(-p * np.arange(n)))
 
 
-def _gen_gaussian(n, params):
-    p = float(params.pop("p", 0.1))
-    return _symmetric_from_kernel(n, lambda k: np.exp(-p * k.astype(float) ** 2))
+def _gen_gaussian(n, *, p=0.1):
+    p = float(p)
+    return Toeplitz(np.exp(-p * np.arange(n).astype(float) ** 2))
 
 
-def _gen_tkms(n, params):
-    rho = complex(params.pop("rho", 0.5))
+def _gen_tkms(n, *, rho=0.5):
+    rho = complex(rho)
     if rho.imag == 0.0:
         rho = rho.real
     col = rho ** np.arange(n)
     return Toeplitz(col)  # Hermitian completion conjugates the row
 
 
-def _gen_ttridiag(n, params):
-    c = float(params.pop("c", -1.0))  # subdiagonal
-    d = float(params.pop("d", 2.0))   # diagonal
-    e = float(params.pop("e", -1.0))  # superdiagonal
+def _gen_ttridiag(n, *, c=-1.0, d=2.0, e=-1.0):
+    # c, d, e: sub-, main and superdiagonal
+    c, d, e = float(c), float(d), float(e)
     t = np.zeros(2 * n - 1)
     t[n - 1] = d
     if n > 1:
@@ -122,12 +107,10 @@ def _gen_ttridiag(n, params):
     return Toeplitz.from_diagonals(t, n, n)
 
 
-def _gen_ttoeppen(n, params):
-    a = float(params.pop("a", 1.0))    # second subdiagonal
-    b = float(params.pop("b", -10.0))  # subdiagonal
-    c = float(params.pop("c", 0.0))    # diagonal
-    d = float(params.pop("d", 10.0))   # superdiagonal
-    e = float(params.pop("e", 1.0))    # second superdiagonal
+def _gen_ttoeppen(n, *, a=1.0, b=-10.0, c=0.0, d=10.0, e=1.0):
+    # a, b: second and first subdiagonal; c: diagonal; d, e: first and
+    # second superdiagonal
+    a, b, c, d, e = float(a), float(b), float(c), float(d), float(e)
     t = np.zeros(2 * n - 1)
     mid = n - 1
     t[mid] = c
@@ -137,12 +120,10 @@ def _gen_ttoeppen(n, params):
     return Toeplitz.from_diagonals(t, n, n)
 
 
-def _gen_ttoeppd(n, params):
-    m = int(params.pop("m", n))
-    rng = _rng(params)
-    w = params.pop("weights", None)
-    theta = params.pop("theta", None)
-    w = rng.random(m) if w is None else np.asarray(w, dtype=float)
+def _gen_ttoeppd(n, *, m=None, seed=None, weights=None, theta=None):
+    m = n if m is None else int(m)
+    rng = np.random.default_rng(seed)
+    w = rng.random(m) if weights is None else np.asarray(weights, dtype=float)
     theta = rng.random(m) if theta is None else np.asarray(theta, dtype=float)
     if w.shape != theta.shape:
         raise ValueError("weights and theta must have the same length")
@@ -157,8 +138,8 @@ def _gen_ttoeppd(n, params):
     return Toeplitz(col)
 
 
-def _gen_tgrcar(n, params):
-    k = int(params.pop("k", 3))
+def _gen_tgrcar(n, *, k=3):
+    k = int(k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     col = np.zeros(n)
@@ -170,13 +151,13 @@ def _gen_tgrcar(n, params):
     return Toeplitz(col, row)
 
 
-def _gen_tparter(n, params):
+def _gen_tparter(n):
     d = np.arange(1 - n, n)
     return Toeplitz.from_diagonals(1.0 / (d + 0.5), n, n)
 
 
-def _gen_tprolate(n, params):
-    w = float(params.pop("w", 0.25))
+def _gen_tprolate(n, *, w=0.25):
+    w = float(w)
     k = np.arange(1, n)
     col = np.empty(n)
     col[0] = 2.0 * w
@@ -185,9 +166,8 @@ def _gen_tprolate(n, params):
     return Toeplitz(col)
 
 
-def _gen_tchow(n, params):
-    alpha = float(params.pop("alpha", 1.0))
-    delta = float(params.pop("delta", 0.0))
+def _gen_tchow(n, *, alpha=1.0, delta=0.0):
+    alpha, delta = float(alpha), float(delta)
     t = np.zeros(2 * n - 1)
     k = np.arange(-1, n)  # diagonals with t_k = alpha**(k+1), zero below k = -1
     t[k + n - 1] = alpha ** (k + 1.0)
@@ -195,9 +175,9 @@ def _gen_tchow(n, params):
     return Toeplitz.from_diagonals(t, n, n)
 
 
-def _gen_ttriw(n, params):
-    alpha = float(params.pop("alpha", -1.0))
-    k = int(params.pop("k", n - 1))
+def _gen_ttriw(n, *, alpha=-1.0, k=None):
+    alpha = float(alpha)
+    k = n - 1 if k is None else int(k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     col = np.zeros(n)
@@ -208,8 +188,8 @@ def _gen_ttriw(n, params):
     return Toeplitz(col, row)
 
 
-def _gen_tdramadah(n, params):
-    k = int(params.pop("k", 1))
+def _gen_tdramadah(n, *, k=1):
+    k = int(k)
     col = np.zeros(n)
     row = np.zeros(n)
     if k == 1:
@@ -241,7 +221,7 @@ _PHANS_WEIGHTS = np.array([2.0, 1.0, 0.5, 0.25])
 _PHANS_FREQS = np.array([0.05, 0.15, 0.25, 0.40])
 
 
-def _gen_tphans(n, params):
+def _gen_tphans(n):
     if n < 2 * _PHANS_FREQS.shape[0] + 1 and config_get().warnings:
         warnings.warn(
             f"tphans is rank deficient only for orders above "
@@ -253,10 +233,10 @@ def _gen_tphans(n, params):
     return Toeplitz(col)
 
 
-_SQUARE_GENERATORS = {
+_GENERATORS = {
+    "algdec": _gen_algdec,
     "crrand": _gen_crrand,
     "crrandn": _gen_crrandn,
-    "algdec": _gen_algdec,
     "expdec": _gen_expdec,
     "gaussian": _gen_gaussian,
     "tchow": _gen_tchow,
@@ -265,19 +245,26 @@ _SQUARE_GENERATORS = {
     "tkms": _gen_tkms,
     "tparter": _gen_tparter,
     "tphans": _gen_tphans,
+    "tprand": _gen_tprand,
+    "tprandn": _gen_tprandn,
     "tprolate": _gen_tprolate,
     "ttoeppd": _gen_ttoeppd,
     "ttoeppen": _gen_ttoeppen,
     "ttridiag": _gen_ttridiag,
     "ttriw": _gen_ttriw,
 }
+_RECTANGULAR = ("tprand", "tprandn")  # every other generator is square
 
-_RECT_GENERATORS = {
-    "tprand": _gen_tprand,
-    "tprandn": _gen_tprandn,
+GALLERY_NAMES = tuple(sorted(_GENERATORS))
+
+# A generator takes its order positionally and its options as keyword-only
+# parameters.  Their names are read once here: inspecting a signature costs
+# about as much as a small generator call.
+_PARAMS = {
+    name: frozenset(p.name for p in inspect.signature(gen).parameters.values()
+                    if p.kind is p.KEYWORD_ONLY)
+    for name, gen in _GENERATORS.items()
 }
-
-GALLERY_NAMES = tuple(sorted({**_SQUARE_GENERATORS, **_RECT_GENERATORS}))
 
 
 def smtgallery(name, size, **params):
@@ -295,17 +282,17 @@ def smtgallery(name, size, **params):
         `seed`, `complex`, ...).  Unknown options raise.
     """
     key = str(name).lower()
-    params = dict(params)
-    if key in _RECT_GENERATORS:
-        out = _RECT_GENERATORS[key](size, params)
-    elif key in _SQUARE_GENERATORS:
-        out = _SQUARE_GENERATORS[key](_square_size(size, key), params)
-    else:
+    if key not in _GENERATORS:
         raise ValueError(
             f"unknown gallery matrix {name!r}; valid names: {', '.join(GALLERY_NAMES)}"
         )
-    if params:
+    dims = _rect_size(size) if key in _RECTANGULAR else (_square_size(size, key),)
+    accepted = _PARAMS[key]
+    # a bad value of a known option is reported ahead of an unknown option
+    out = _GENERATORS[key](*dims, **{k: v for k, v in params.items() if k in accepted})
+    unknown = params.keys() - accepted
+    if unknown:
         raise ValueError(
-            f"unknown parameter(s) for {key!r}: {', '.join(sorted(params))}"
+            f"unknown parameter(s) for {key!r}: {', '.join(sorted(unknown))}"
         )
     return out

@@ -1,11 +1,14 @@
+import dataclasses
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from structmat import Circulant, Toeplitz, levinson_solve, read_matrix, smtgallery
+from structmat import (Circulant, Config, EmbeddingPolicy, Toeplitz, cli, config_get,
+                       errors, levinson_solve, read_matrix, smtgallery)
 from structmat.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -312,3 +315,119 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys):
                                              "1e-07", "-")
     code, stdout, _ = run(capsys, "info", str(path))
     assert report_dict(stdout)["cev"] == "16"  # pow2 embedding of 6x6
+
+
+@pytest.mark.parametrize("rhs", [["--rhs-ones"], ["b.smt"]], ids=["rhs-ones", "rhs-file"])
+def test_solve_vector_file_as_matrix_is_io_error(tmp_path, capsys, monkeypatch, rhs):
+    from structmat import write_matrix
+
+    monkeypatch.chdir(tmp_path)
+    write_matrix("v.smt", np.ones(3))
+    write_matrix("b.smt", np.ones(3))
+    code, _, err = run(capsys, "solve", "v.smt", *rhs)
+    assert code == EXIT_IO
+    assert err == "error: MatrixFileError: v.smt: expected a matrix file\n"
+
+
+@pytest.mark.parametrize("matrix, flags", [
+    (np.ones((3, 3)), []),
+    (Toeplitz.from_diagonals(np.ones(5), 3, 3), ["--no-intsolve"]),
+], ids=["dense", "toeplitz-dense-fallback"])
+def test_solve_singular_dense_system_is_numerical_error(tmp_path, capsys, matrix, flags):
+    from structmat import write_matrix
+
+    mat, rhs = tmp_path / "s.smt", tmp_path / "b.smt"
+    write_matrix(mat, matrix)
+    write_matrix(rhs, np.ones(3))
+    code, _, err = run(capsys, "solve", str(mat), str(rhs), *flags)
+    assert code == EXIT_NUMERICAL and err.startswith("error: LinAlgError:")
+
+
+@pytest.mark.parametrize("name, param", [("ttoeppd", "m=1e400"), ("tgrcar", "k=1e400")])
+def test_gen_infinite_integer_parameter_is_usage_error(tmp_path, capsys, name, param):
+    code, _, err = run(capsys, "gen", name, "4", "--param", param,
+                       "-o", str(tmp_path / "x.smt"))
+    assert code == EXIT_USAGE
+    assert err == "error: OverflowError: cannot convert float infinity to integer\n"
+    assert not (tmp_path / "x.smt").exists()
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_bench_rejects_reps_below_one(tmp_path, capsys, reps):
+    out = tmp_path / "bench.csv"
+    code, _, err = run(capsys, "bench", "matvec", "--sizes", "8", "--reps", reps,
+                       "-o", str(out))
+    assert code == EXIT_USAGE and "StructmatError: invalid --reps" in err
+    assert not out.exists()
+
+
+# Exit code of each error class, as the README states it.
+EXIT_CODE_OF = {
+    errors.StructmatError: EXIT_USAGE,
+    errors.DimensionMismatchError: EXIT_USAGE,
+    errors.UnsupportedOperationError: EXIT_USAGE,
+    errors.SingularMatrixError: EXIT_NUMERICAL,
+    errors.BreakdownError: EXIT_NUMERICAL,
+    errors.UnderdeterminedError: EXIT_NUMERICAL,
+    errors.RankDeficientError: EXIT_NUMERICAL,
+    errors.MatrixFileError: EXIT_IO,
+    OSError: EXIT_IO,
+    ValueError: EXIT_USAGE,
+    TypeError: EXIT_USAGE,
+    OverflowError: EXIT_USAGE,
+    np.linalg.LinAlgError: EXIT_NUMERICAL,
+}
+
+
+def test_exit_code_table_lists_every_structmat_error():
+    package_errors = {cls for cls in vars(errors).values()
+                      if isinstance(cls, type) and issubclass(cls, errors.StructmatError)}
+    assert package_errors <= set(EXIT_CODE_OF)
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODE_OF), ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_error_class(capsys, monkeypatch, cls):
+    def fail(path):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "read_matrix", fail)
+    code, stdout, err = run(capsys, "info", "x")
+    assert code == EXIT_CODE_OF[cls]
+    assert stdout == "" and err == f"error: {cls.__name__}: boom\n"
+
+
+def test_unmapped_error_is_not_swallowed(monkeypatch):
+    def fail(path):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "read_matrix", fail)
+    with pytest.raises(KeyError):
+        main(["info", "x"])
+
+
+def test_no_warnings_flag_silences_tphans(tmp_path, capsys):
+    out = tmp_path / "p.smt"
+    with pytest.warns(UserWarning, match="rank deficient"):
+        assert run(capsys, "gen", "tphans", "6", "-o", str(out))[0] == EXIT_OK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, "gen", "tphans", "6", "--no-warnings", "-o", str(out))[0] == EXIT_OK
+
+
+def _non_default(field):
+    """A value other than the default for a Config field, the CLI flag that
+    sets it, and its spelling in a configuration file."""
+    if field.name == "embedding":
+        return EmbeddingPolicy.TIGHT, ["--embedding", "tight"], "tight"
+    return False, [f"--no-{field.name}"], "off"
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(Config), ids=lambda f: f.name)
+def test_every_config_field_can_be_set_from_the_cli(tmp_path, field):
+    want, flag, text = _non_default(field)
+    assert getattr(Config(), field.name) != want
+    conf = tmp_path / "conf"
+    conf.write_text(f"{field.name}={text}\n")
+    for argv in (["info", "x", *flag], ["info", "x", "--config", str(conf)]):
+        cli._apply_global_config(cli._build_parser().parse_args(argv))
+        assert getattr(config_get(), field.name) == want

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from structmat import Circulant, Toeplitz, smtgallery, GALLERY_NAMES
+from structmat import Circulant, Toeplitz, config_set, smtgallery, GALLERY_NAMES
 
 from conftest import rel_err
 
@@ -163,3 +165,67 @@ def test_psd_spot_checks():
             T = smtgallery(name, n, **kwargs)
             evals = np.linalg.eigvalsh(T.full())
             assert evals.min() >= -1e-10
+
+
+# Every generator's options and their defaults, as the README lists them.
+GENERATOR_PARAMS = {
+    "algdec": {"p": 2.0},
+    "crrand": {"seed": None, "complex": False},
+    "crrandn": {"seed": None, "complex": False},
+    "expdec": {"p": 0.5},
+    "gaussian": {"p": 0.1},
+    "tchow": {"alpha": 1.0, "delta": 0.0},
+    "tdramadah": {"k": 1},
+    "tgrcar": {"k": 3},
+    "tkms": {"rho": 0.5},
+    "tparter": {},
+    "tphans": {},
+    "tprand": {"seed": None, "complex": False},
+    "tprandn": {"seed": None, "complex": False},
+    "tprolate": {"w": 0.25},
+    "ttoeppd": {"m": None, "seed": None, "weights": None, "theta": None},
+    "ttoeppen": {"a": 1.0, "b": -10.0, "c": 0.0, "d": 10.0, "e": 1.0},
+    "ttridiag": {"c": -1.0, "d": 2.0, "e": -1.0},
+    "ttriw": {"alpha": -1.0, "k": None},
+}
+
+
+def _values(M):
+    return M.col if isinstance(M, Circulant) else M.t
+
+
+def test_parameter_table_covers_the_gallery():
+    assert sorted(GENERATOR_PARAMS) == list(GALLERY_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_PARAMS))
+def test_listed_parameters_accepted_with_their_defaults(name):
+    seeded = {"seed": 7} if "seed" in GENERATOR_PARAMS[name] else {}
+    want = _values(smtgallery(name, 12, **seeded))
+    got = _values(smtgallery(name, 12, **{**GENERATOR_PARAMS[name], **seeded}))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    with pytest.raises(ValueError, match=rf"^unknown parameter\(s\) for '{name}': bogus$"):
+        smtgallery(name, 12, bogus=1, **seeded)
+
+
+def test_dimension_names_are_not_parameters():
+    with pytest.raises(ValueError, match=r"unknown parameter\(s\) for 'tkms': n$"):
+        smtgallery("tkms", 4, n=3)
+    with pytest.raises(ValueError, match=r"unknown parameter\(s\) for 'tprand': m, n$"):
+        smtgallery("tprand", (2, 3), m=3, n=4)
+    assert smtgallery("ttoeppd", 4, m=2, seed=1).shape == (4, 4)  # a real option there
+
+
+def test_bad_option_value_reported_before_unknown_option():
+    with pytest.raises(ValueError, match="could not convert"):
+        smtgallery("algdec", 4, p="steep", bogus=1)
+
+
+def test_tphans_small_order_warning_follows_the_switch():
+    with pytest.warns(UserWarning, match="rank deficient only for orders above 8") as rec:
+        smtgallery("tphans", 8)
+    assert rec[0].filename == __file__  # attributed to the caller of smtgallery
+    config_set("warnings", False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smtgallery("tphans", 8)
