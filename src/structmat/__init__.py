@@ -12,7 +12,7 @@ from .config import (
     config_set,
     embedded_size,
 )
-from .dft import dft, fourier_matrix, idft, next_pow2
+from .dft import dft, fast_len, fourier_matrix, idft, next_pow2
 from .errors import (
     BreakdownError,
     DimensionMismatchError,
@@ -70,6 +70,7 @@ __all__ = [
     "dft",
     "idft",
     "next_pow2",
+    "fast_len",
     "fourier_matrix",
     "strang",
     "optimal",

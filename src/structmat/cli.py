@@ -55,7 +55,8 @@ _EXIT_CODES = (
     ((SingularMatrixError, BreakdownError, RankDeficientError, UnderdeterminedError,
       np.linalg.LinAlgError), EXIT_NUMERICAL),
     ((MatrixFileError, OSError), EXIT_IO),
-    ((StructmatError, ValueError, TypeError, OverflowError), EXIT_USAGE),
+    # an oversized order fails its first allocation at once
+    ((StructmatError, ValueError, TypeError, OverflowError, MemoryError), EXIT_USAGE),
 )
 _HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
 

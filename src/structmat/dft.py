@@ -8,6 +8,12 @@ unnormalized,
 and the inverse carries the 1/N factor.  Arbitrary lengths (primes included)
 are supported exactly; the heavy lifting is delegated to numpy's pocketfft,
 which uses mixed-radix/Bluestein factorizations internally.
+
+Two size rules pick a transform length N >= k: `next_pow2(k)` rounds up to
+a power of two, and `fast_len(k)` to the nearest 2*3*5*7-smooth integer,
+which pocketfft transforms with its fast radix kernels and which is never
+longer than the power of two.  Lengths with a large prime factor take the
+Bluestein path instead, several times slower.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from ._util import as_vector
 
-__all__ = ["dft", "idft", "next_pow2", "fourier_matrix"]
+__all__ = ["dft", "idft", "next_pow2", "fast_len", "fourier_matrix"]
 
 
 def dft(v) -> np.ndarray:
@@ -35,6 +41,29 @@ def next_pow2(k: int) -> int:
     if k < 1:
         raise ValueError(f"next_pow2 requires a positive integer, got {k}")
     return 1 << (k - 1).bit_length()
+
+
+def fast_len(k: int) -> int:
+    """Smallest 2*3*5*7-smooth integer >= k (k must be a positive integer)."""
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"fast_len requires a positive integer, got {k}")
+    best = next_pow2(k)
+    # try each odd 7-smooth factor f below best; larger factors cannot win
+    p7 = 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            f = p5
+            while f < best:
+                # f * 2**e with e the least exponent reaching ceil(k / f)
+                cand = f << ((k - 1) // f).bit_length()
+                if cand < best:
+                    best = cand
+                f *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
 
 
 def fourier_matrix(n: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._structured import entries_of, spectrum_of
 from .circulant import Circulant
-from .dft import next_pow2
+from .dft import fast_len
 from .errors import DimensionMismatchError, SingularMatrixError
 from .toeplitz import Toeplitz
 
@@ -130,7 +130,7 @@ def _gram_projection_ev(T: Toeplitz) -> np.ndarray:
     Real t takes half-length rfft/irfft throughout and folds to real values.
     """
     n = T.shape[0]
-    L = next_pow2(4 * n - 3)
+    L = fast_len(4 * n - 3)
     d = np.arange(1 - n, n)
     P = np.where(d >= 0, T.t, 0)
     N = T.t - P

@@ -7,6 +7,15 @@ gradient on the normal equations for overdetermined Toeplitz least squares
 conjugate gradient, and the division dispatcher that routes between the
 internal solvers and user-registered replacements according to the active
 configuration.
+
+The iterative solvers choose their own transform length.  Handed an m-by-n
+Toeplitz T, CGLS and PCG run every product of the solve on the circulant
+embedding of order fast_len(m + n - 1), whatever T's embedding policy: a
+2*3*5*7-smooth length transforms several times faster than a tight length
+with a large prime factor, and is never longer than the power of two.  When
+T's own embedding already has that order its cached spectrum serves;
+otherwise one transform per solve builds the spectrum, and T keeps its
+policy, its `cev` and its own products.
 """
 
 from __future__ import annotations
@@ -17,9 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._structured import spectral_apply, spectrum_of
 from ._util import as_vector
 from .circulant import Circulant
 from .config import Config, config_get
+from .dft import fast_len
 from .errors import (
     BreakdownError,
     DimensionMismatchError,
@@ -165,26 +176,38 @@ def toep_lstsq(T: Toeplitz, b, rtol: float = LSTSQ_RTOL) -> np.ndarray:
     return _cgls(T, bv, rtol)
 
 
+def _fast_spectrum(T: Toeplitz) -> np.ndarray:
+    """Embedding spectrum of T at the solvers' transform length
+    fast_len(m + n - 1); see the module docstring."""
+    m, n = T.shape
+    N = fast_len(m + n - 1)
+    if T.embed_order == N:
+        return T._ensure_cev()
+    return spectrum_of(T._embedding(N))
+
+
 def _cgls(T: Toeplitz, b, rtol):
     m, n = T.shape
-    TH = T.H
+    spec = _fast_spectrum(T)
+    spec_h = np.conj(spec)  # the adjoint's embedding spectrum
+    real = T.isreal and not np.iscomplexobj(b)
     dtype = np.result_type(T.dtype, b.dtype, np.float64)
     x = np.zeros(n, dtype=dtype)
     r = b.astype(dtype)
-    s = TH.matvec(r)
+    s = spectral_apply(spec_h, r, n, real)
     p = s.copy()
     gamma = np.real(np.vdot(s, s))
     target = rtol * np.sqrt(gamma)
     maxit = 5 * n
     for _ in range(maxit):
-        q = T.matvec(p)
+        q = spectral_apply(spec, p, m, real)
         qq = np.real(np.vdot(q, q))
         if qq == 0.0 or not np.isfinite(qq):
             break
         alpha = gamma / qq
         x += alpha * p
         r -= alpha * q
-        s = TH.matvec(r)
+        s = spectral_apply(spec_h, r, n, real)
         gamma_new = np.real(np.vdot(s, s))
         if np.sqrt(gamma_new) <= target:
             return x
@@ -201,9 +224,13 @@ def _as_operator(A):
     if callable(A):
         return A, None
     if isinstance(A, (Circulant, Toeplitz)):
-        if A.shape[0] != A.shape[1]:
+        n = A.shape[0]
+        if A.shape[1] != n:
             raise DimensionMismatchError("pcg_solve requires a square operator")
-        return A.matvec, A.shape[0]
+        if isinstance(A, Circulant):
+            return A.matvec, n
+        spec, real = _fast_spectrum(A), A.isreal
+        return (lambda v: spectral_apply(spec, v, n, real and not np.iscomplexobj(v))), n
     arr = np.asarray(A)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError("pcg_solve requires a square operator")

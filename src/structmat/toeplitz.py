@@ -12,7 +12,8 @@ result.  The embedding eigenvalues are cached in the `cev` field; with the
 allocated, so each product costs two transforms instead of three.  When
 T and the vector are both real, the two are half-length real transforms
 (rfft and irfft) over the Hermitian half of `cev`; `cev` itself always
-holds the full-length spectrum.
+holds the full-length spectrum.  The iterative solvers pick their own
+embedding order for their products (see solvers.py).
 
 Values are immutable apart from the idempotent `cev` cache fill, which is
 safe under concurrent access: readers observe either no cache or a fully
@@ -170,7 +171,11 @@ class Toeplitz(Structured):
         """First column of the circulant embedding:
         [t0, t1, ..., t[m-1], 0..., t[1-n], ..., t[-1]]."""
         pol = self._policy if policy is None else policy
-        size = embedded_size(self._m, self._n, pol)
+        return self._embedding(embedded_size(self._m, self._n, pol))
+
+    def _embedding(self, size: int) -> np.ndarray:
+        """First column of the order-`size` circulant embedding, for any
+        size >= m + n - 1; the one place the embedding layout is written."""
         e = np.zeros(size, dtype=self.dtype)
         e[: self._m] = self._t[self._n - 1:]
         if self._n > 1:
@@ -181,7 +186,7 @@ class Toeplitz(Structured):
         cev = self._cev
         if cev is None:
             # idempotent cache fill; concurrent duplicates compute equal arrays
-            cev = frozen(spectrum_of(self.embed()))
+            cev = frozen(spectrum_of(self._embedding(self.embed_order)))
             self._cev = cev
         return cev
 

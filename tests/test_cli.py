@@ -375,6 +375,7 @@ EXIT_CODE_OF = {
     ValueError: EXIT_USAGE,
     TypeError: EXIT_USAGE,
     OverflowError: EXIT_USAGE,
+    MemoryError: EXIT_USAGE,
     np.linalg.LinAlgError: EXIT_NUMERICAL,
 }
 
@@ -394,6 +395,14 @@ def test_exit_code_of_each_error_class(capsys, monkeypatch, cls):
     code, stdout, err = run(capsys, "info", "x")
     assert code == EXIT_CODE_OF[cls]
     assert stdout == "" and err == f"error: {cls.__name__}: boom\n"
+
+
+def test_oversized_order_is_usage_error(tmp_path, capsys):
+    # the generator's first array cannot be allocated, so this uses no memory
+    out = tmp_path / "x.smt"
+    code, stdout, err = run(capsys, "gen", "gaussian", "99999999999", "-o", str(out))
+    assert code == EXIT_USAGE and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and "MemoryError" in err
 
 
 def test_unmapped_error_is_not_swallowed(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from structmat import dft, fourier_matrix, idft, next_pow2
+from structmat import dft, fast_len, fourier_matrix, idft, next_pow2
 
 from conftest import dft_direct, random_complex
 
@@ -81,6 +81,38 @@ def test_next_pow2():
     assert next_pow2(1) == 1
     with pytest.raises(ValueError):
         next_pow2(0)
+
+
+def _is_7_smooth(k):
+    for p in (2, 3, 5, 7):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def test_fast_len_matches_brute_force():
+    smooth = [k for k in range(1, 20481) if _is_7_smooth(k)]
+    want, i = [], 0
+    for k in range(1, 20001):
+        while smooth[i] < k:
+            i += 1
+        want.append(smooth[i])
+    assert [fast_len(k) for k in range(1, 20001)] == want
+
+
+def test_fast_len_examples_and_bounds():
+    assert fast_len(2531) == 2560  # a prime tight embedding order
+    assert fast_len(3007) == 3024  # 31 * 97
+    assert fast_len(9999) == 10000  # where next_pow2 gives 16384
+    for k in (1, 7, 1023, 4097, 123457):
+        assert k <= fast_len(k) <= next_pow2(k)
+    assert fast_len(np.int64(11)) == 12
+
+
+@pytest.mark.parametrize("k", [0, -5])
+def test_fast_len_rejects_non_positive(k):
+    with pytest.raises(ValueError, match="positive integer"):
+        fast_len(k)
 
 
 def test_fourier_matrix_small():

@@ -6,12 +6,15 @@ from structmat import (
     Circulant,
     Config,
     DimensionMismatchError,
+    EmbeddingPolicy,
     RankDeficientError,
     SolveFlag,
     StructmatError,
     Toeplitz,
     UnderdeterminedError,
     config_set,
+    embedded_size,
+    fast_len,
     levinson_solve,
     pcg_solve,
     register_tsolve,
@@ -362,3 +365,126 @@ def test_solver_result_dtypes(n, t_complex, b_complex, m_complex):
     for name, solve in _solver_cases(n, t, b, Circulant(c)).items():
         expected = np.complex128 if name == "pcg with M" and m_complex else want
         assert solve().dtype == expected, name
+
+
+# -- transform lengths of the iterative solvers -------------------------------
+
+
+@pytest.fixture
+def fft_lengths(monkeypatch):
+    """Records (direction, length) of every numpy transform while active."""
+    calls = []
+
+    def recording(fn, direction):
+        # every irfft in the package passes its output length n
+        def wrapped(a, n=None, axis=-1, **kwargs):
+            calls.append((direction, np.shape(a)[axis] if n is None else n))
+            return fn(a, n, axis, **kwargs)
+        return wrapped
+
+    for name, direction in (("fft", "forward"), ("rfft", "forward"),
+                            ("ifft", "inverse"), ("irfft", "inverse")):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name), direction))
+    return calls
+
+
+POLICIES = [EmbeddingPolicy.TIGHT, EmbeddingPolicy.POW2]
+
+
+def _tall(rng, m, n, complex_entries, policy):
+    t = random_complex(rng, m + n - 1) if complex_entries else rng.standard_normal(m + n - 1)
+    return Toeplitz.from_diagonals(t, m, n, config=Config(embedding=policy)), t
+
+
+def _hpd(rng, n, complex_entries, policy, toeprem=True):
+    """Hermitian positive definite Toeplitz of order n."""
+    col = random_complex(rng, n) if complex_entries else rng.standard_normal(n)
+    col /= 1.0 + np.arange(n)
+    col[0] = np.abs(col).sum() * 2.0 + 1.0  # diagonal dominance
+    return Toeplitz(col, config=Config(embedding=policy, toeprem=toeprem))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_cgls_runs_at_fast_len(fft_lengths, policy):
+    # m + n - 1 = 269 is prime: tight embeds at 269, pow2 at 512
+    T, _ = _tall(np.random.default_rng(1), 200, 70, True, policy)
+    b = random_complex(np.random.default_rng(2), 200)
+    fft_lengths.clear()  # T's own cev at construction
+    toep_lstsq(T, b)
+    forward = [n for d, n in fft_lengths if d == "forward"]
+    inverse = [n for d, n in fft_lengths if d == "inverse"]
+    assert set(forward) == set(inverse) == {fast_len(269)} == {270}
+    assert len(forward) == len(inverse) + 1  # one transform builds the spectrum
+    fft_lengths.clear()
+    T @ b[:70]
+    assert {n for _, n in fft_lengths} == {T.embed_order}
+    assert T.embed_order == embedded_size(200, 70, policy)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_pcg_runs_at_fast_len(fft_lengths, policy, complex_entries):
+    # 2n - 1 = 261 = 9 * 29: tight embeds at 261, pow2 at 512
+    T = _hpd(np.random.default_rng(3), 131, complex_entries, policy)
+    cev = T.cev
+    fft_lengths.clear()
+    pcg_solve(T, np.ones(131), tol=1e-10)
+    forward = [n for d, n in fft_lengths if d == "forward"]
+    inverse = [n for d, n in fft_lengths if d == "inverse"]
+    assert set(forward) == set(inverse) == {fast_len(261)} == {270}
+    assert len(forward) == len(inverse) + 1
+    assert T.cev is cev and T.embed_order == embedded_size(131, 131, policy)
+
+
+@pytest.mark.parametrize("solve, T", [
+    # tight at m + n - 1 = 1024 and pow2 at 2n - 1 = 1023 both embed at 1024
+    (lambda T: toep_lstsq(T, np.ones(768)),
+     _tall(np.random.default_rng(4), 768, 257, True, EmbeddingPolicy.TIGHT)[0]),
+    (lambda T: pcg_solve(T, np.ones(512), tol=1e-10),
+     _hpd(np.random.default_rng(5), 512, False, EmbeddingPolicy.POW2)),
+], ids=["cgls-tight", "pcg-pow2"])
+def test_solvers_reuse_cev_at_fast_len(fft_lengths, solve, T):
+    assert T.embed_order == fast_len(sum(T.shape) - 1) == 1024
+    solve(T)
+    forward = [n for d, n in fft_lengths if d == "forward"]
+    inverse = [n for d, n in fft_lengths if d == "inverse"]
+    assert set(forward) == {1024} and len(forward) == len(inverse)
+
+
+def test_lazy_cev_fills_only_when_its_order_is_fast():
+    rng = np.random.default_rng(6)
+    T = _hpd(rng, 512, False, EmbeddingPolicy.POW2, toeprem=False)
+    pcg_solve(T, np.ones(512), tol=1e-10)
+    assert T.cev is not None and T.cev.shape == (1024,)
+    U = _hpd(rng, 131, False, EmbeddingPolicy.POW2, toeprem=False)
+    pcg_solve(U, np.ones(131), tol=1e-10)
+    assert U.cev is None  # the solve's own spectrum at 270 is not cached
+
+
+# m + n - 1: 269 prime, 267 = 3 * 89, 254 = 2 * 127
+@pytest.mark.parametrize("shape", [(200, 70), (201, 67), (190, 65)])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_cgls_matches_dense_lstsq(shape, policy, complex_entries):
+    m, n = shape
+    rng = np.random.default_rng(m + n)
+    T, t = _tall(rng, m, n, complex_entries, policy)
+    b = random_complex(rng, m) if complex_entries else rng.standard_normal(m)
+    got = toep_lstsq(T, b)
+    want, *_ = np.linalg.lstsq(dense_toeplitz(t, m, n), b, rcond=None)
+    assert got.dtype == want.dtype
+    assert rel_err(got, want) <= 1e-9
+
+
+# 2n - 1: 133 = 7 * 19, 201 = 3 * 67, 499 prime
+@pytest.mark.parametrize("n", [67, 101, 250])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_pcg_matches_dense_solve(n, policy, complex_entries):
+    rng = np.random.default_rng(n)
+    T = _hpd(rng, n, complex_entries, policy)
+    b = random_complex(rng, n) if complex_entries else rng.standard_normal(n)
+    x, report = pcg_solve(T, b, tol=1e-12)
+    want = np.linalg.solve(dense_toeplitz(T.t, n, n), b)
+    assert report.flag is SolveFlag.CONVERGED
+    assert rel_err(x, want) <= 1e-10
