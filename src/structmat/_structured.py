@@ -1,14 +1,29 @@
-"""The operator table shared by the structured matrix classes.
+"""The operator table and value algebra shared by the structured matrix classes.
 
-Circulant and Toeplitz values each store one short vector of entries plus a
-cached spectrum.  `Structured` writes their common behaviour once: the
-operator dunders, transposes and entrywise maps, indexing, and the spectral
-product kernel.
+Circulant and Toeplitz values each store one short vector of entries in
+`_data` (`col` or `t`) and a spectrum in `_spec` (`ev` or `cev`).
+`Structured` writes their common behaviour once: the operator dunders,
+transposes and entrywise maps, indexing, and the spectral product kernel.
 
-The cached spectrum is always the full-length DFT, also for real values,
-where it is Hermitian.  Every transform of real data runs at half length:
+The spectrum is always the full-length DFT, also for real values, where it
+is Hermitian.  Every transform of real data runs at half length:
 `spectrum_of` and `entries_of` convert between entries and spectrum, and
-`spectral_apply` multiplies or divides, each with one rfft or irfft.
+`spectral_apply` multiplies or divides, each with one rfft or irfft.  The
+kernel takes the half-length path exactly when the matrix is real and the
+operand is not complex; `spectral_apply` is the one place that tests it.
+
+A derived value carries the spectrum of its operands where a cheap exact
+rule gives it, and recomputes it otherwise:
+
+    alpha * X, -X     the spectrum scaled or negated
+    X.T               the spectrum cyclically reversed
+    X.H               the spectrum conjugated
+    X + Y, X - Y      the spectra added or subtracted, when both operands
+                      carry spectra of one length; otherwise none
+    X * Y, maps       recomputed from the new entries by the class rule
+    X + scalar        the class's own rule (`_add_scalar`)
+
+A carried Toeplitz spectrum may be none, which stays none.
 
 Binary operators follow the promotion lattice circulant -> Toeplitz ->
 dense, and the result belongs to the least structured operand:
@@ -25,14 +40,16 @@ in general.  A 1-d ndarray operand goes through `matvec`, a 2-d one
 through the fast product column by column.
 
 Each class sets `_rank` (0 for circulant, 1 for Toeplitz) and supplies
-these hooks:
+these hooks (`shape` defaults to the value's own; a circulant's follows
+from its data):
 
-    _add_scalar(s)    X + s, with the spectrum kept coherent
-    _combine(op, Y)   op(X, Y) for op in add/sub/mul, Y of the same class
-                      and shape
-    _map(f)           the value with f applied to the stored entries
-    _entries(lags)    the entries on the diagonals i - j = lags
-    _block(t, m, n)   the m-by-n contiguous block with diagonal vector t
+    _reversed()              the data vector of the transpose
+    _like(data, spec, shape) a value of this class that carries `spec` as is
+    _remake(data, shape)     a value whose spectrum the class rule recomputes
+    _spectrum()              the spectrum products use (filled on demand)
+    _add_scalar(s)           X + s
+    _entries(lags)           the entries on the diagonals i - j = lags
+    _block(t, m, n)          the m-by-n contiguous block with diagonal vector t
 """
 
 from __future__ import annotations
@@ -123,13 +140,13 @@ def spectral_apply(spec, arr, rows, real, divide=False):
 
     `arr` is zero-padded to N = len(spec), so an embedded Toeplitz product
     and a plain circulant product are the same two transforms.  `real` says
-    both `arr` and the matrix are real: then `spec` is Hermitian and the two
-    transforms are half-length real ones, rfft and irfft over the view
+    the matrix is real: if `arr` is real too, `spec` is Hermitian and the
+    two transforms are half-length real ones, rfft and irfft over the view
     spec[:N//2 + 1], whose output is already real.  Otherwise they are
     full-length complex fft and ifft.
     """
     N = spec.shape[0]
-    if real:
+    if real and not np.iscomplexobj(arr):
         forward, inverse, spec = np.fft.rfft, np.fft.irfft, spec[: N // 2 + 1]
     else:
         forward, inverse = np.fft.fft, np.fft.ifft
@@ -153,19 +170,42 @@ class Structured:
     # Keep numpy from elementwise-broadcasting us; reflected dunders run instead.
     __array_ufunc__ = None
     __hash__ = None
-    __slots__ = ()
+    __slots__ = ("_data", "_spec")
+
+    @property
+    def dtype(self):
+        return self._data.dtype
+
+    @property
+    def isreal(self) -> bool:
+        return not np.iscomplexobj(self._data)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and bool(np.array_equal(self._data, other._data))
 
     def full(self) -> np.ndarray:
         """Dense m-by-n array; entry (i, j) is the value on diagonal i - j."""
         m, n = self.shape
         return self._entries(np.arange(m)[:, None] - np.arange(n)[None, :])
 
+    def _spectrum(self):
+        return self._spec
+
     def _check_operand(self, arr, what="operand"):
         n = self.shape[1]
+        if not arr.shape:
+            raise DimensionMismatchError(f"{what} is a scalar, expected leading dimension {n}")
         if arr.shape[0] != n:
             raise DimensionMismatchError(
                 f"{what} has leading dimension {arr.shape[0]}, expected {n}"
             )
+
+    def _apply(self, arr):
+        """The fast product along axis 0 of `arr` (two transforms)."""
+        self._check_operand(arr)
+        return spectral_apply(self._spectrum(), arr, self.shape[0], self.isreal)
 
     # -- elementwise operators ----------------------------------------------
 
@@ -187,6 +227,14 @@ class Structured:
         elif b._rank < a._rank:
             b = b.to_toeplitz()
         return a._combine(op, b)
+
+    def _combine(self, op, other):
+        """op(self, other) for op in add/sub/mul, `other` of this class and shape."""
+        if op is operator.mul:
+            return self._remake(self._data * other._data)
+        a, b = self._spec, other._spec
+        spec = op(a, b) if a is not None and b is not None and a.shape == b.shape else None
+        return self._like(op(self._data, other._data), spec)
 
     def __add__(self, other):
         return self._binary(operator.add, other, self._add_scalar)
@@ -212,10 +260,16 @@ class Structured:
             return self.scale(1.0 / other)
         return NotImplemented
 
-    # __neg__ stays with each class: Circulant negates exactly and Toeplitz
-    # scales by -1, which differ in the sign of zero spectrum entries
+    def __neg__(self):
+        return self._like(-self._data, None if self._spec is None else -self._spec)
+
     def __pos__(self):
         return self
+
+    def scale(self, alpha):
+        """alpha * X; a carried spectrum is scaled rather than recomputed."""
+        return self._like(alpha * self._data,
+                          None if self._spec is None else alpha * self._spec)
 
     # -- matrix product ------------------------------------------------------
 
@@ -236,6 +290,16 @@ class Structured:
         return NotImplemented
 
     # -- transposes and entrywise maps ---------------------------------------
+
+    def transpose(self, conjugate: bool = False):
+        """Transpose (or conjugate transpose); the data vector reverses and a
+        carried spectrum is reversed (or conjugated), with no transforms."""
+        data, spec = self._reversed(), self._spec
+        if conjugate:
+            data = np.conj(data)
+        if spec is not None:
+            spec = np.conj(spec) if conjugate else cyclic_reverse(spec)
+        return self._like(data, spec, self.shape[::-1])
 
     @property
     def T(self):
@@ -261,7 +325,7 @@ class Structured:
                 f"unknown entrywise map {tag!r}; expected one of "
                 f"{sorted(ENTRYWISE_MAPS)}"
             ) from None
-        return self._map(f)
+        return self._remake(f(self._data))
 
     # -- diagonals and indexing ----------------------------------------------
 

@@ -98,7 +98,8 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
     """
     if isinstance(A, (Toeplitz, Circulant)):
         _require_square(A.shape, "the superoptimal")
-    a = optimal(A).ev
+    P = optimal(A)
+    a = P.ev
     amax = np.abs(a).max()
     if np.abs(a).min() <= ZERO_EIGENVALUE_RTOL * amax:
         raise SingularMatrixError(
@@ -106,9 +107,8 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
             "has (numerically) zero eigenvalues"
         )
     if isinstance(A, Circulant):
-        b = a * np.conj(a)
-        real = A.isreal
-    elif isinstance(A, Toeplitz):
+        return P  # a circulant is its own superoptimal preconditioner
+    if isinstance(A, Toeplitz):
         b = _gram_projection_ev(A)
         real = A.isreal
     else:

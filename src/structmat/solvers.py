@@ -12,10 +12,11 @@ The iterative solvers choose their own transform length.  Handed an m-by-n
 Toeplitz T, CGLS and PCG run every product of the solve on the circulant
 embedding of order fast_len(m + n - 1), whatever T's embedding policy: a
 2*3*5*7-smooth length transforms several times faster than a tight length
-with a large prime factor, and is never longer than the power of two.  When
-T's own embedding already has that order its cached spectrum serves;
-otherwise one transform per solve builds the spectrum, and T keeps its
-policy, its `cev` and its own products.
+with a large prime factor, and is never longer than the power of two.  The
+spectrum comes from T._spectrum(fast_len(m + n - 1)): when T's own
+embedding already has that order its cached `cev` serves; otherwise one
+transform per solve builds the spectrum, and T keeps its policy, its `cev`
+and its own products.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._structured import spectral_apply, spectrum_of
+from ._structured import spectral_apply
 from ._util import as_vector
 from .circulant import Circulant
 from .config import Config, config_get
@@ -155,8 +156,10 @@ def toep_lstsq(T: Toeplitz, b, rtol: float = LSTSQ_RTOL) -> np.ndarray:
 
     Below LSTSQ_DENSE_CUTOFF columns a dense Householder QR is used; above
     it, conjugate gradient on the normal equations A* A x = A* b with fast
-    Toeplitz products (CGLS).  Underdetermined or numerically rank-deficient
-    input raises.
+    Toeplitz products (CGLS).  Underdetermined input raises.  Only the QR
+    path detects numerical rank deficiency and raises RankDeficientError;
+    on rank-deficient input CGLS returns the minimum-norm solution (it
+    raises only when its iteration stagnates).
     """
     if not isinstance(T, Toeplitz):
         raise TypeError("toep_lstsq expects a Toeplitz matrix")
@@ -176,21 +179,11 @@ def toep_lstsq(T: Toeplitz, b, rtol: float = LSTSQ_RTOL) -> np.ndarray:
     return _cgls(T, bv, rtol)
 
 
-def _fast_spectrum(T: Toeplitz) -> np.ndarray:
-    """Embedding spectrum of T at the solvers' transform length
-    fast_len(m + n - 1); see the module docstring."""
-    m, n = T.shape
-    N = fast_len(m + n - 1)
-    if T.embed_order == N:
-        return T._ensure_cev()
-    return spectrum_of(T._embedding(N))
-
-
 def _cgls(T: Toeplitz, b, rtol):
     m, n = T.shape
-    spec = _fast_spectrum(T)
+    spec = T._spectrum(fast_len(m + n - 1))
     spec_h = np.conj(spec)  # the adjoint's embedding spectrum
-    real = T.isreal and not np.iscomplexobj(b)
+    real = T.isreal
     dtype = np.result_type(T.dtype, b.dtype, np.float64)
     x = np.zeros(n, dtype=dtype)
     r = b.astype(dtype)
@@ -229,8 +222,8 @@ def _as_operator(A):
             raise DimensionMismatchError("pcg_solve requires a square operator")
         if isinstance(A, Circulant):
             return A.matvec, n
-        spec, real = _fast_spectrum(A), A.isreal
-        return (lambda v: spectral_apply(spec, v, n, real and not np.iscomplexobj(v))), n
+        spec, real = A._spectrum(fast_len(2 * n - 1)), A.isreal
+        return (lambda v: spectral_apply(spec, v, n, real)), n
     arr = np.asarray(A)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError("pcg_solve requires a square operator")

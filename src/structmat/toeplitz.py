@@ -12,8 +12,9 @@ result.  The embedding eigenvalues are cached in the `cev` field; with the
 allocated, so each product costs two transforms instead of three.  When
 T and the vector are both real, the two are half-length real transforms
 (rfft and irfft) over the Hermitian half of `cev`; `cev` itself always
-holds the full-length spectrum.  The iterative solvers pick their own
-embedding order for their products (see solvers.py).
+holds the full-length spectrum.  `_spectrum(size)` gives the embedding
+spectrum at any order: only the one at `embed_order` is cached, in `cev`.
+The iterative solvers ask it for their own order (see solvers.py).
 
 Values are immutable apart from the idempotent `cev` cache fill, which is
 safe under concurrent access: readers observe either no cache or a fully
@@ -25,12 +26,10 @@ operand converts to Toeplitz, and @ with any Toeplitz factor is dense.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._structured import Structured, cyclic_reverse, spectral_apply, spectrum_of
+from ._structured import Structured, spectrum_of
 from ._util import as_vector, frozen, require_finite
 from .config import Config, EmbeddingPolicy, config_get, embedded_size
 from .errors import DimensionMismatchError, UnsupportedOperationError
@@ -46,7 +45,7 @@ _FORBIDDEN_MSG = (
 class Toeplitz(Structured):
     """m-by-n Toeplitz matrix stored by diagonals."""
 
-    __slots__ = ("_t", "_m", "_n", "_policy", "_eager", "_cev")
+    __slots__ = ("_m", "_n", "_policy", "_eager")
     _rank = 1
 
     def __init__(self, col, row=None, config: Config | None = None):
@@ -89,36 +88,14 @@ class Toeplitz(Structured):
 
     def _init_from_t(self, t, m, n, config):
         cfg = config if config is not None else config_get()
-        self._t = frozen(np.ascontiguousarray(t))
+        self._data = frozen(np.ascontiguousarray(t))
         self._m = m
         self._n = n
         self._policy = cfg.embedding
         self._eager = cfg.toeprem
-        self._cev = None
+        self._spec = None
         if self._eager:
-            self._ensure_cev()
-
-    @classmethod
-    def _from_parts(cls, t, m, n, policy, eager, cev) -> "Toeplitz":
-        obj = cls.__new__(cls)
-        obj._t = frozen(np.ascontiguousarray(t))
-        obj._m = m
-        obj._n = n
-        obj._policy = policy
-        obj._eager = eager
-        obj._cev = frozen(np.ascontiguousarray(cev)) if cev is not None else None
-        return obj
-
-    def _rebuild(self, t, m=None, n=None) -> "Toeplitz":
-        """New value with this value's baked policy; cev recomputed per the
-        eagerness baked at construction."""
-        out = Toeplitz._from_parts(
-            t, self._m if m is None else m, self._n if n is None else n,
-            self._policy, self._eager, None,
-        )
-        if out._eager:
-            out._ensure_cev()
-        return out
+            self._spectrum()
 
     # -- basic data ------------------------------------------------------
 
@@ -127,17 +104,9 @@ class Toeplitz(Structured):
         return (self._m, self._n)
 
     @property
-    def dtype(self):
-        return self._t.dtype
-
-    @property
-    def isreal(self) -> bool:
-        return not np.iscomplexobj(self._t)
-
-    @property
     def t(self) -> np.ndarray:
         """Diagonal vector, t[k] holding diagonal k - (n-1) (read-only view)."""
-        return self._t
+        return self._data
 
     @property
     def policy(self) -> EmbeddingPolicy:
@@ -151,19 +120,14 @@ class Toeplitz(Structured):
     @property
     def cev(self) -> np.ndarray | None:
         """Cached embedding eigenvalues, or None if not yet computed."""
-        return self._cev
+        return self._spec
 
     def __repr__(self):
-        cev = "none" if self._cev is None else str(self._cev.shape[0])
+        cev = "none" if self._spec is None else str(self._spec.shape[0])
         return (
             f"Toeplitz(shape={self._m}x{self._n}, dtype={self.dtype}, "
             f"policy={self._policy.value}, cev={cev})"
         )
-
-    def __eq__(self, other):
-        if isinstance(other, Toeplitz):
-            return self.shape == other.shape and bool(np.array_equal(self._t, other._t))
-        return NotImplemented
 
     # -- embedding and products --------------------------------------------
 
@@ -177,29 +141,28 @@ class Toeplitz(Structured):
         """First column of the order-`size` circulant embedding, for any
         size >= m + n - 1; the one place the embedding layout is written."""
         e = np.zeros(size, dtype=self.dtype)
-        e[: self._m] = self._t[self._n - 1:]
+        e[: self._m] = self._data[self._n - 1:]
         if self._n > 1:
-            e[size - (self._n - 1):] = self._t[: self._n - 1]
+            e[size - (self._n - 1):] = self._data[: self._n - 1]
         return e
 
-    def _ensure_cev(self) -> np.ndarray:
-        cev = self._cev
+    def _spectrum(self, size: int | None = None) -> np.ndarray:
+        """Spectrum of the order-`size` embedding (default `embed_order`).
+        Only the one at `embed_order` is cached, as `cev`; any other order
+        is transformed anew on every call."""
+        if size is not None and size != self.embed_order:
+            return spectrum_of(self._embedding(size))
+        cev = self._spec
         if cev is None:
             # idempotent cache fill; concurrent duplicates compute equal arrays
             cev = frozen(spectrum_of(self._embedding(self.embed_order)))
-            self._cev = cev
+            self._spec = cev
         return cev
 
     def toeprem(self) -> "Toeplitz":
         """Precompute (if needed) the embedding eigenvalues; returns self."""
-        self._ensure_cev()
+        self._spectrum()
         return self
-
-    def _apply(self, arr):
-        """Embedded product along axis 0: zero-pad, multiply spectra, crop."""
-        self._check_operand(arr)
-        return spectral_apply(self._ensure_cev(), arr, self._m,
-                              self.isreal and not np.iscomplexobj(arr))
 
     def matvec(self, x) -> np.ndarray:
         """Fast product T @ x via the circulant embedding."""
@@ -207,52 +170,32 @@ class Toeplitz(Structured):
 
     # -- structure manipulation ------------------------------------------
 
-    def transpose(self, conjugate: bool = False) -> "Toeplitz":
-        """Transpose (or conjugate transpose); the diagonal vector reverses
-        and the cached spectrum is carried over by permutation/conjugation,
-        so no transforms are needed."""
-        t = self._t[::-1]
-        cev = self._cev
-        if conjugate:
-            t = np.conj(t)
-            new_cev = np.conj(cev) if cev is not None else None
-        else:
-            new_cev = cyclic_reverse(cev) if cev is not None else None
-        return Toeplitz._from_parts(t, self._n, self._m, self._policy, self._eager, new_cev)
-
-    def scale(self, alpha) -> "Toeplitz":
-        """alpha * T; a cached spectrum is scaled rather than recomputed."""
-        cev = alpha * self._cev if self._cev is not None else None
-        return Toeplitz._from_parts(
-            alpha * self._t, self._m, self._n, self._policy, self._eager, cev
-        )
-
     def tril(self, k: int = 0) -> "Toeplitz":
         """Keep diagonals i - j >= -k (at and below the k-th), zero the rest."""
-        t = self._t.copy()
+        t = self._data.copy()
         cut = self._n - 1 - int(k)
         t[: max(0, min(cut, t.shape[0]))] = 0
-        return self._rebuild(t)
+        return self._remake(t)
 
     def triu(self, k: int = 0) -> "Toeplitz":
         """Keep diagonals i - j <= -k (at and above the k-th), zero the rest."""
-        t = self._t.copy()
+        t = self._data.copy()
         cut = self._n - int(k)
         t[max(0, min(cut, t.shape[0])):] = 0
-        return self._rebuild(t)
+        return self._remake(t)
 
     # -- reductions --------------------------------------------------------
 
     def sum(self) -> np.ndarray:
         """Per-column sums, computed from the diagonal vector."""
-        cs = np.concatenate([np.zeros(1, dtype=self.dtype), np.cumsum(self._t)])
+        cs = np.concatenate([np.zeros(1, dtype=self.dtype), np.cumsum(self._data)])
         starts = self._n - 1 - np.arange(self._n)
         return cs[starts + self._m] - cs[starts]
 
     def prod(self) -> np.ndarray:
         """Per-column products, computed from the diagonal vector."""
         # column j holds the window t[n-1-j : n-1-j+m]
-        return sliding_window_view(self._t, self._m).prod(axis=1)[::-1]
+        return sliding_window_view(self._data, self._m).prod(axis=1)[::-1]
 
     # -- deliberately unsupported dense-algebra entry points ----------------
 
@@ -268,36 +211,31 @@ class Toeplitz(Structured):
     # -- hooks of the shared operator table (see _structured.py) -------------
 
     def _entries(self, lags):
-        return self._t[lags + (self._n - 1)]
+        return self._data[lags + (self._n - 1)]
 
     def _block(self, t, m, n):
-        return self._rebuild(t, m, n)
+        return self._remake(t, (m, n))
 
-    def _map(self, f):
-        return self._rebuild(f(self._t))
+    def _reversed(self):
+        return self._data[::-1]
+
+    def _like(self, data, spec, shape=None):
+        obj = Toeplitz.__new__(Toeplitz)
+        obj._data = frozen(np.ascontiguousarray(data))
+        obj._m, obj._n = self.shape if shape is None else shape
+        obj._policy = self._policy
+        obj._eager = self._eager
+        obj._spec = None if spec is None else frozen(np.ascontiguousarray(spec))
+        return obj
+
+    def _remake(self, data, shape=None):
+        # the spectrum is recomputed per the eagerness baked at construction
+        out = self._like(data, None, shape)
+        if out._eager:
+            out._spectrum()
+        return out
 
     def _add_scalar(self, s):
         # every entry sits on some diagonal, so shift the whole vector;
         # the spectrum is refilled lazily on the next product
-        return Toeplitz._from_parts(
-            self._t + s, self._m, self._n, self._policy, self._eager, None
-        )
-
-    def _combine(self, op, other):
-        if op is operator.mul:
-            # constant diagonals multiply diagonal-wise
-            return self._rebuild(self._t * other._t)
-        # + and - act linearly on the spectrum too, when both embed alike
-        cev = None
-        if (
-            self._cev is not None
-            and other._cev is not None
-            and self._cev.shape == other._cev.shape
-        ):
-            cev = op(self._cev, other._cev)
-        return Toeplitz._from_parts(
-            op(self._t, other._t), self._m, self._n, self._policy, self._eager, cev
-        )
-
-    def __neg__(self):
-        return self.scale(-1)
+        return self._like(self._data + s, None)

@@ -3,7 +3,9 @@ import pytest
 
 from structmat import (
     Circulant,
+    Config,
     DimensionMismatchError,
+    EmbeddingPolicy,
     SingularMatrixError,
     Toeplitz,
     dft,
@@ -131,6 +133,10 @@ def test_solve():
     assert np.linalg.norm(C @ x - b) <= 1e-12 * np.linalg.norm(b)
     with pytest.raises(SingularMatrixError):
         Circulant([1, 1, 1, 1]).solve(np.ones(4))
+    for bad in (3.0, np.ones(3), np.ones((5, 2))):
+        for side in ("left", "right"):
+            with pytest.raises(DimensionMismatchError):
+                C.solve(bad, side=side)
 
 
 def test_solve_right():
@@ -290,23 +296,51 @@ def test_fast_paths_match_dense_oracles(n):
     ) + 1e-11
 
 
-@pytest.mark.parametrize("op", ["add", "scale", "mul", "inv", "pow", "transpose", "elementwise"])
-def test_algebra_closure_and_cache_coherence(op):
+ALGEBRA_OPS = {
+    "add": lambda A, B: A + B,
+    "sub": lambda A, B: A - B,
+    "neg": lambda A, B: -A,
+    "scale": lambda A, B: 2.5j * A,
+    "add_scalar": lambda A, B: A + (1.5 - 2j),
+    "transpose": lambda A, B: A.T,
+    "adjoint": lambda A, B: A.H,
+    "elementwise": lambda A, B: A * B,
+    "mul": lambda A, B: A @ B,
+    "inv": lambda A, B: A.inv(),
+    "pow": lambda A, B: A ** 2,
+}
+
+
+@pytest.mark.parametrize("kind, op", [
+    *(pytest.param("circulant", op, id=op) for op in ALGEBRA_OPS),
+    # a Toeplitz value has no structured product, inverse or power
+    *(pytest.param("toeplitz", op, id=f"toeplitz-{op}") for op in ALGEBRA_OPS
+      if op not in ("mul", "inv", "pow")),
+    *(pytest.param("tight-pow2", op, id=f"tight-pow2-{op}") for op in ("add", "sub")),
+])
+def test_algebra_closure_and_cache_coherence(kind, op):
+    # a carried spectrum must equal the transform of the result's own entries
     rng = np.random.default_rng(hash(op) % 2**32)
-    C = Circulant(random_complex(rng, 12))
-    D = Circulant(random_complex(rng, 12))
-    out = {
-        "add": lambda: C + D,
-        "scale": lambda: 2.5j * C,
-        "mul": lambda: C @ D,
-        "inv": lambda: C.inv(),
-        "pow": lambda: C ** 2,
-        "transpose": lambda: C.T,
-        "elementwise": lambda: C * D,
-    }[op]()
-    assert isinstance(out, Circulant)
-    tol = 1e-11 * max(1.0, np.max(np.abs(out.col)))
-    assert np.max(np.abs(out.ev - dft(out.col))) <= tol
+    if kind == "circulant":
+        A, B = Circulant(random_complex(rng, 12)), Circulant(random_complex(rng, 12))
+    else:  # a tall shape, so the transposes must swap it
+        first = EmbeddingPolicy.TIGHT if kind == "tight-pow2" else EmbeddingPolicy.POW2
+        A, B = (Toeplitz.from_diagonals(random_complex(rng, 11), 7, 5, config=Config(embedding=p))
+                for p in (first, EmbeddingPolicy.POW2))
+    out = ALGEBRA_OPS[op](A, B)
+    assert type(out) is type(A)
+    if kind == "circulant":
+        spec, data = out.ev, out.col
+    else:
+        # a scalar shift, or operands that embed at different orders, leave
+        # the spectrum to the next product
+        if op == "add_scalar" or kind == "tight-pow2":
+            assert out.cev is None
+            assert rel_err(out.full(), ALGEBRA_OPS[op](A.full(), B.full())) <= 1e-13
+            return
+        spec, data = out.cev, out.embed()
+    tol = 1e-11 * max(1.0, np.max(np.abs(data)))
+    assert np.max(np.abs(spec - dft(data))) <= tol
 
 
 def test_solve_matvec_round_trip():
