@@ -51,6 +51,12 @@ class Circulant(Structured):
         obj._singular = None
         return obj
 
+    @classmethod
+    def _from_spectrum(cls, ev, real):
+        """Internal constructor: the circulant whose eigenvalues are `ev`;
+        `real` says that they belong to a real column."""
+        return cls._from_parts(entries_of(ev, real), ev)
+
     # -- basic data ------------------------------------------------------
 
     @property
@@ -119,8 +125,7 @@ class Circulant(Structured):
     def inv(self) -> "Circulant":
         """Circulant inverse via reciprocal eigenvalues."""
         self._check_nonsingular()
-        ev = 1.0 / self._spec
-        return Circulant._from_parts(entries_of(ev, self.isreal), ev)
+        return Circulant._from_spectrum(1.0 / self._spec, self.isreal)
 
     def det(self):
         """Determinant, the product of the cached eigenvalues."""
@@ -138,8 +143,7 @@ class Circulant(Structured):
         p = int(p)
         if p < 0:
             self._check_nonsingular()
-        ev = self._spec ** p
-        return Circulant._from_parts(entries_of(ev, self.isreal), ev)
+        return Circulant._from_spectrum(self._spec ** p, self.isreal)
 
     # -- structure manipulation ------------------------------------------
 
@@ -199,9 +203,7 @@ class Circulant(Structured):
         if not isinstance(other, Circulant):
             return super().__matmul__(other)
         self._check_operand(other)
-        ev = self._spec * other._spec
-        col = entries_of(ev, self.isreal and other.isreal)
-        return Circulant._from_parts(col, ev)
+        return Circulant._from_spectrum(self._spec * other._spec, self.isreal and other.isreal)
 
     def __pow__(self, p):
         return self.matrix_power(p)

@@ -20,7 +20,7 @@ import threading
 
 import numpy as np
 
-from ._structured import entries_of, spectrum_of
+from ._structured import spectrum_of
 from .circulant import Circulant
 from .dft import fast_len
 from .errors import DimensionMismatchError, SingularMatrixError
@@ -115,8 +115,7 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
         A = np.asarray(A)
         b = optimal(A @ A.conj().T).ev
         real = not np.iscomplexobj(A)
-    lam = b / np.conj(a)
-    return Circulant._from_parts(entries_of(lam, real), lam)
+    return Circulant._from_spectrum(b / np.conj(a), real)
 
 
 def _gram_projection_ev(T: Toeplitz) -> np.ndarray:

@@ -102,6 +102,17 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     and a backward vector w (inverse's last column).  It requires every
     leading principal minor to be (numerically) nonsingular; otherwise a
     BreakdownError is raised and a dense solver should be used instead.
+
+    The state is one (3, n) buffer V whose rows hold f, J*w (w stored
+    reversed) and x; at order k only the first k columns are live and
+    column k is still zero.  The windows of T at order k are columns
+    [n-1-k, n-1) of the (3, 2n-1) stack S = [t[::-1], t, t[::-1]]: row k of
+    T left of the diagonal (against f and x) and column k of T above it
+    (against J*w: the recursion pairs that column with w read backward,
+    which is why w is stored reversed).  So the three inner products of an
+    order step are one batched matmul.  The update of (f, 0) and (0, w) is
+    one two-row update against V[1::-1, k::-1], the reversed rows in
+    swapped order, and x then steps along the reversed w row.
     """
     if not isinstance(T, Toeplitz):
         raise TypeError("levinson_solve expects a Toeplitz matrix")
@@ -118,37 +129,28 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
             "disable the internal solver to fall back to a dense factorization"
         )
     dtype = np.result_type(a.dtype, bv.dtype, np.float64)
-    x = np.zeros(n, dtype=dtype)
-    f = np.zeros(n, dtype=dtype)  # inverse's first column at the current order
-    w = np.zeros(n, dtype=dtype)  # inverse's last column at the current order
-    x[0] = bv[0] / t0
-    f[0] = 1.0 / t0
-    w[0] = 1.0 / t0
+    S = np.array([a[::-1], a, a[::-1]], dtype=dtype)
+    V = np.zeros((3, n), dtype=dtype)  # rows f, J*w, x
+    V[:2, 0] = 1.0 / t0
+    V[2, 0] = bv[0] / t0
     for k in range(1, n):
-        # row k of T against the current vectors: sum_j t_{k-j} v_j
-        row = a[n: n + k][::-1]
-        eps_f = row @ f[:k]
-        eta = bv[k] - row @ x[:k]
-        # trailing column of T against w: sum_j t_{-1-j} w_j
-        colu = a[n - 1 - k: n - 1][::-1]
-        delta_w = colu @ w[:k]
-        denom = 1.0 - eps_f * delta_w
-        if abs(denom) <= BREAKDOWN_RTOL * max(1.0, abs(eps_f * delta_w)):
+        # row k of T against f and x, the trailing column against J*w
+        dots = np.matmul(S[:, None, n - 1 - k: n - 1], V[:, :k, None])[:, 0]
+        eps_f, delta_w, row_x = dots[:, 0]
+        coupling = eps_f * delta_w
+        denom = 1.0 - coupling
+        if abs(denom) <= BREAKDOWN_RTOL * max(1.0, abs(coupling)):
             raise BreakdownError(
                 f"Levinson breakdown at order {k + 1}: singular leading minor; "
                 "disable the internal solver to fall back to a dense factorization"
             )
-        # padded candidates: (f, 0) maps to e0 + eps_f*ek, (0, w) to dw*e0 + ek
-        f_new = np.zeros(k + 1, dtype=dtype)
-        f_new[:k] = f[:k]
-        f_new[1:] -= eps_f * w[:k]
-        w_new = np.zeros(k + 1, dtype=dtype)
-        w_new[1:] = w[:k]
-        w_new[:k] -= delta_w * f[:k]
-        f[: k + 1] = f_new / denom
-        w[: k + 1] = w_new / denom
-        x[: k + 1] += eta * w[: k + 1]
-    return x
+        # (f, 0) - eps_f*(0, w) and (0, w) - delta_w*(f, 0), over denom; one
+        # reciprocal, since dividing a complex array is several times slower
+        live = V[:2, : k + 1]
+        live -= dots[:2] * V[1::-1, k::-1]
+        live *= 1.0 / denom
+        V[2, : k + 1] += (bv[k] - row_x) * V[1, k::-1]
+    return V[2].copy()
 
 
 def toep_lstsq(T: Toeplitz, b, rtol: float = LSTSQ_RTOL) -> np.ndarray:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,9 +53,15 @@ def test_levinson_kms_example():
 
 
 def test_levinson_breakdown_on_singular_leading_minor():
-    T = Toeplitz([0.0, 1.0, 0.5])  # t0 = 0: first pivot vanishes
-    with pytest.raises(BreakdownError):
-        levinson_solve(T, np.ones(3))
+    for T, order, cause in [
+        (Toeplitz([0.0, 1.0, 0.5]), 1, "zero leading entry"),  # t0 = 0: first pivot vanishes
+        (Toeplitz.from_diagonals(np.ones(5), 3, 3), 2, "singular leading minor"),
+        (smtgallery("tphans", 12), 9, "singular leading minor"),  # rank 8
+    ]:
+        message = (f"Levinson breakdown at order {order}: {cause}; disable the internal "
+                   "solver to fall back to a dense factorization")
+        with pytest.raises(BreakdownError, match=f"^{re.escape(message)}$"):
+            levinson_solve(T, np.ones(T.shape[0]))
 
 
 def test_levinson_shape_errors():
@@ -64,16 +72,26 @@ def test_levinson_shape_errors():
         levinson_solve(smtgallery("tkms", 3), np.ones(4))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 256])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 61, 64, 256, 257])
 def test_levinson_matches_dense_lu(n):
     rng = np.random.default_rng(300 + n)
-    reps = 4 if n >= 64 else 17
+    reps = 4 if n >= 61 else 17
     for _ in range(reps):
-        T = dominant_toeplitz(rng, n)
-        b = random_complex(rng, n)
-        x = levinson_solve(T, b)
-        xd = np.linalg.solve(T.full(), b)
-        assert rel_err(x, xd) <= 1e-8
+        systems = [
+            (dominant_toeplitz(rng, n), random_complex(rng, n)),
+            (dominant_toeplitz(rng, n, complex_entries=False), random_complex(rng, n)),
+            (dominant_toeplitz(rng, n), rng.standard_normal(n)),
+            (dominant_toeplitz(rng, n, complex_entries=False), rng.integers(-9, 10, n)),
+        ]
+        for T, b in systems:
+            x = levinson_solve(T, b)
+            assert x.dtype == np.result_type(T.dtype, b.dtype, np.float64)
+            assert rel_err(x, np.linalg.solve(T.full(), b)) <= 1e-8
+    K = smtgallery("ttoeppd", n, seed=n)  # a symmetric positive definite gallery matrix
+    b = rng.standard_normal(n)
+    x = levinson_solve(K, b)
+    assert x.dtype == np.float64
+    assert rel_err(x, np.linalg.solve(K.full(), b)) <= 1e-8
 
 
 # -- least squares ----------------------------------------------------------

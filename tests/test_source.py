@@ -5,14 +5,40 @@ from pathlib import Path
 
 import structmat
 
+PACKAGE = Path(structmat.__file__).parent
+
+# numpy names that exist only from 2.0; pyproject.toml declares numpy>=1.24
+NUMPY2_ONLY = {"vecdot", "matvec", "vecmat", "matrix_transpose", "concat",
+               "permute_dims", "unstack", "cumulative_sum"}
+
 
 def test_no_function_imports_in_its_body():
     # every dependency is imported once, at the top of its module
-    package = Path(structmat.__file__).parent
-    for path in package.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for inner in ast.walk(node):
                     assert not isinstance(inner, (ast.Import, ast.ImportFrom)), (
                         f"{path.name}:{inner.lineno} imports inside {node.name}()"
                     )
+
+
+def numpy_root(node):
+    """True when the attribute chain `node` starts at the numpy module."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
+def test_no_numpy2_only_names():
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and numpy_root(node):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            assert not names & NUMPY2_ONLY, (
+                f"{path.name}:{node.lineno} uses numpy-2-only {sorted(names & NUMPY2_ONLY)}"
+            )
