@@ -25,6 +25,7 @@ from .config import (
 )
 from .errors import (
     BreakdownError,
+    DimensionMismatchError,
     MatrixFileError,
     RankDeficientError,
     SingularMatrixError,
@@ -67,6 +68,10 @@ _SWITCHES = {
     "intsolvels": "route overdetermined division to the registered solver",
     "warnings": "silence non-fatal diagnostics",
 }
+
+# `solve --precond` names: these build the preconditioner from the matrix;
+# any other value except "none" is read as a circulant file.
+_PRECOND_KINDS = ("strang", "optimal", "superoptimal")
 
 # Dense comparison columns are dropped from benchmarks above this order.
 BENCH_DENSE_CUTOFF = 2048
@@ -213,6 +218,22 @@ def _relative_residual(A, x, b) -> float:
     return float(np.linalg.norm(b - A @ x) / bnorm) if bnorm else 0.0
 
 
+def _preconditioner(name, A) -> Circulant:
+    """The circulant that `solve --precond NAME` asks for: built from `A` for
+    a kind name, otherwise read from the file NAME, which must hold a
+    circulant of A's order."""
+    if name in _PRECOND_KINDS:
+        return smtcprec(name, A)
+    M = read_matrix(name)
+    if not isinstance(M, Circulant):
+        raise MatrixFileError(f"{name}: expected a circulant file")
+    if M.n != A.shape[0]:
+        raise DimensionMismatchError(
+            f"{name}: preconditioner has order {M.n}, the matrix has {A.shape[0]} rows"
+        )
+    return M
+
+
 def run_solve(args) -> int:
     config = config_get()
     A = read_matrix(args.matrix)
@@ -231,7 +252,7 @@ def run_solve(args) -> int:
 
     start = time.perf_counter()
     if args.method == "pcg":
-        M = smtcprec(args.precond, A) if args.precond != "none" else None
+        M = _preconditioner(args.precond, A) if args.precond != "none" else None
         x, report = pcg_solve(A, b, M=M, tol=args.tol, maxit=args.maxit)
     else:
         if args.method != "auto" and not isinstance(A, Toeplitz):
@@ -406,8 +427,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use b = A @ ones (prescribed all-ones solution)")
     p.add_argument("--method", choices=["auto", "levinson", "pcg", "lstsq"],
                    default="auto")
-    p.add_argument("--precond", choices=["none", "strang", "optimal", "superoptimal"],
-                   default="none", help="circulant preconditioner for pcg")
+    p.add_argument("--precond", default="none", metavar="KIND|FILE",
+                   help="circulant preconditioner for pcg: none, "
+                   f"{', '.join(_PRECOND_KINDS)}, or a circulant file (give a file "
+                   "named like a kind as ./NAME)")
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--maxit", type=int, default=None)
     p.add_argument("-o", "--output", help="write the solution vector here")

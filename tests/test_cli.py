@@ -193,6 +193,67 @@ def test_solve_pcg_with_strang(tmp_path, capsys):
     assert float(fields["relative_residual"]) <= 1e-8
 
 
+def test_solve_pcg_with_precond_file(tmp_path, capsys, monkeypatch):
+    # gen -> precond -> solve: the written circulant is read back, not rebuilt
+    mat, prec = tmp_path / "g.smt", tmp_path / "c.smt"
+    run(capsys, "gen", "gaussian", "256", "-o", str(mat))
+    run(capsys, "precond", "strang", str(mat), "-o", str(prec))
+    args = ("solve", str(mat), "--rhs-ones", "--method", "pcg", "--tol", "1e-8",
+            "--maxit", "300", "--precond")
+    built = report_dict(run(capsys, *args, "strang")[1])
+
+    def no_build(kind, A):
+        raise AssertionError("preconditioner rebuilt")
+
+    monkeypatch.setattr(cli, "smtcprec", no_build)
+    code, stdout, _ = run(capsys, *args, str(prec))
+    read = report_dict(stdout)
+    assert code == EXIT_OK and read["precond"] == str(prec)
+    assert read["iterations"] == built["iterations"]
+    assert float(read["relative_residual"]) <= 1e-8
+
+
+def test_solve_precond_kind_names_are_reserved(tmp_path, capsys, monkeypatch):
+    from structmat import write_matrix
+
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "gaussian", "64", "-o", "g.smt")
+    write_matrix("strang", Circulant(np.eye(64)[0]))  # the identity, named like a kind
+    args = ("solve", "g.smt", "--rhs-ones", "--method", "pcg", "--maxit", "500")
+    plain = report_dict(run(capsys, *args)[1])
+    kind = report_dict(run(capsys, *args, "--precond", "strang")[1])
+    from_file = report_dict(run(capsys, *args, "--precond", "./strang")[1])
+    assert from_file["iterations"] == plain["iterations"] != kind["iterations"]
+
+
+def test_solve_precond_file_errors(tmp_path, capsys, monkeypatch):
+    from structmat import write_matrix
+
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "gaussian", "8", "-o", "g.smt")
+    write_matrix("small.smt", Circulant([2.0, 1.0, 1.0]))
+    args = ("solve", "g.smt", "--rhs-ones", "--method", "pcg", "--precond")
+    code, _, err = run(capsys, *args, "g.smt")
+    assert code == EXIT_IO
+    assert err == "error: MatrixFileError: g.smt: expected a circulant file\n"
+    code, _, err = run(capsys, *args, "small.smt")
+    assert code == EXIT_USAGE
+    assert err == ("error: DimensionMismatchError: small.smt: preconditioner has order 3, "
+                   "the matrix has 8 rows\n")
+    code, _, err = run(capsys, *args, "missing.smt")
+    assert code == EXIT_IO and "missing.smt" in err
+
+
+@pytest.mark.parametrize("name, n", [("tprolate", 61), ("tprolate", 200),
+                                     ("tprolate", 257), ("tdramadah", 200)])
+def test_solve_levinson_ill_conditioned_exit_code(tmp_path, capsys, name, n):
+    mat = tmp_path / "t.smt"
+    run(capsys, "gen", name, str(n), "-o", str(mat))
+    code, _, err = run(capsys, "solve", str(mat), "--rhs-ones", "--method", "levinson")
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("error: BreakdownError: Levinson backward error ")
+
+
 def test_solve_underdetermined_exit_code(tmp_path, capsys):
     mat = tmp_path / "w.smt"
     rhs = tmp_path / "b.smt"

@@ -21,6 +21,7 @@ from structmat import (
     pcg_solve,
     register_tsolve,
     smtgallery,
+    solvers,
     strang,
     toep_divide,
     toep_lstsq,
@@ -57,6 +58,8 @@ def test_levinson_breakdown_on_singular_leading_minor():
         (Toeplitz([0.0, 1.0, 0.5]), 1, "zero leading entry"),  # t0 = 0: first pivot vanishes
         (Toeplitz.from_diagonals(np.ones(5), 3, 3), 2, "singular leading minor"),
         (smtgallery("tphans", 12), 9, "singular leading minor"),  # rank 8
+        (smtgallery("tchow", 12), 2, "singular leading minor"),
+        (smtgallery("ttoeppen", 8), 1, "zero leading entry"),  # its main diagonal is 0
     ]:
         message = (f"Levinson breakdown at order {order}: {cause}; disable the internal "
                    "solver to fall back to a dense factorization")
@@ -72,7 +75,24 @@ def test_levinson_shape_errors():
         levinson_solve(smtgallery("tkms", 3), np.ones(4))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 61, 64, 256, 257])
+def test_levinson_certificate_rejects_ill_conditioned_systems():
+    # cond ~1e17: the recursion keeps going, but the answer's backward error
+    # lands at 1e-11 (relative residual 9.2) up to 1e-2, above BACKWARD_RTOL
+    for name, n in [("tprolate", 61), ("tprolate", 200), ("tprolate", 257),
+                    ("tdramadah", 200)]:
+        T = smtgallery(name, n)
+        for b in (T @ np.ones(n), np.ones(n)):
+            with pytest.raises(BreakdownError, match=r"^Levinson backward error \S+ exceeds "
+                               r"1e-12: ill-conditioned system; disable the internal solver"):
+                levinson_solve(T, b)
+
+
+LEAF = solvers.LEVINSON_LEAF
+
+
+# n - 1 order steps run as one block up to n = LEAF + 1, and split above it
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 61, 64, LEAF - 1, LEAF, LEAF + 1,
+                               LEAF + 2, 2 * LEAF + 1, 2 * LEAF + 2, 256, 257])
 def test_levinson_matches_dense_lu(n):
     rng = np.random.default_rng(300 + n)
     reps = 4 if n >= 61 else 17
@@ -81,6 +101,7 @@ def test_levinson_matches_dense_lu(n):
             (dominant_toeplitz(rng, n), random_complex(rng, n)),
             (dominant_toeplitz(rng, n, complex_entries=False), random_complex(rng, n)),
             (dominant_toeplitz(rng, n), rng.standard_normal(n)),
+            (dominant_toeplitz(rng, n, complex_entries=False), rng.standard_normal(n)),
             (dominant_toeplitz(rng, n, complex_entries=False), rng.integers(-9, 10, n)),
         ]
         for T, b in systems:
@@ -92,6 +113,20 @@ def test_levinson_matches_dense_lu(n):
     x = levinson_solve(K, b)
     assert x.dtype == np.float64
     assert rel_err(x, np.linalg.solve(K.full(), b)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 96, 97, 98, 300])
+def test_levinson_matches_scipy_solve_toeplitz(n):
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(700 + n)
+    for complex_entries in (True, False):
+        T = dominant_toeplitz(rng, n, complex_entries)
+        b = random_complex(rng, n) if complex_entries else rng.standard_normal(n)
+        a = T.t
+        want = linalg.solve_toeplitz((a[n - 1:], a[n - 1::-1]), b)
+        x = levinson_solve(T, b)
+        assert x.dtype == want.dtype
+        assert rel_err(x, want) <= 1e-12
 
 
 # -- least squares ----------------------------------------------------------

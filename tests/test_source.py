@@ -42,3 +42,26 @@ def test_no_numpy2_only_names():
             assert not names & NUMPY2_ONLY, (
                 f"{path.name}:{node.lineno} uses numpy-2-only {sorted(names & NUMPY2_ONLY)}"
             )
+
+
+def test_ffts_are_called_through_the_numpy_fft_module():
+    # every transform is looked up as np.fft.<name> when it runs, so a
+    # wrapper installed on numpy.fft (a profiler, a counter) sees all of them
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Import):
+                assert not any("fft" in alias.name for alias in node.names), where
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                assert "fft" not in module, f"{where} imports from {module}"
+                assert not any(alias.name == "fft" for alias in node.names), where
+            elif (isinstance(node, ast.Attribute) and node.attr == "fft"
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                parent = parents.get(node)
+                assert isinstance(parent, ast.Attribute) and parent.value is node, (
+                    f"{where} uses np.fft other than as np.fft.<name>"
+                )
