@@ -38,6 +38,7 @@ from .preconditioners import smtcprec
 from .solvers import (
     SolveFlag,
     SolveReport,
+    _solver_size,
     levinson_solve,
     pcg_solve,
     toep_divide,
@@ -182,6 +183,9 @@ def run_info(args) -> int:
         m, n = obj.shape
         print(f"t: {m + n - 1} entries")
         print(f"cev: {obj.cev.shape[0] if obj.cev is not None else 'not computed'}")
+        u, l = obj._band()
+        print(f"band: lags {-u}..{l}")
+        print(f"solver length: {_solver_size(obj)}")
     if args.full:
         dense = obj.full() if isinstance(obj, (Circulant, Toeplitz)) else np.asarray(obj)
         if max(dense.shape, default=0) <= 12:

@@ -10,15 +10,20 @@ size cutoff), a generic preconditioned conjugate gradient, and the
 division dispatcher that routes between the internal solvers and
 user-registered replacements according to the active configuration.
 
-The solvers choose their own transform length.  Handed an m-by-n
-Toeplitz T, levinson_solve, CGLS and PCG run every product with T on the
-circulant embedding of order fast_len(m + n - 1), whatever T's embedding
-policy: a 2*3*5*7-smooth length transforms several times faster than a
-tight length with a large prime factor, and is never longer than the
-power of two.  The spectrum comes from T._spectrum(fast_len(m + n - 1)):
-when T's own embedding already has that order its cached `cev` serves;
-otherwise one transform per solve builds the spectrum, and T keeps its
-policy, its `cev` and its own products.
+The solvers choose their own transform length.  CGLS and PCG run every
+product with an m-by-n Toeplitz T at _solver_size(T), whatever T's
+embedding policy: the shortest circulant order that gives T @ x exactly,
+max(m + u, n + l) for T's band of lags -u .. l (see
+Toeplitz._exact_order), rounded up by fast_len to a 2*3*5-smooth length.
+For a dense T that order is m + n - 1.  A banded T, or a kernel whose
+tail underflows to zero, needs little more than half of it.  A smooth
+length transforms several times faster than a tight one with a large
+prime factor, and is never longer than the power of two.  The spectrum
+comes from T._spectrum(_solver_size(T)): when T's own embedding already
+has that order its cached `cev` serves; otherwise one transform per solve
+builds the spectrum, and T keeps its policy, its `cev` and its own
+products.  Levinson's Gohberg-Semencul products are convolutions of
+length 2n - 1 whatever the band, and run at fast_len(2n - 1).
 """
 
 from __future__ import annotations
@@ -343,9 +348,15 @@ def toep_lstsq(T: Toeplitz, b, rtol: float = LSTSQ_RTOL) -> np.ndarray:
     return _cgls(T, bv, rtol)
 
 
+def _solver_size(T: Toeplitz) -> int:
+    """Transform length of the CGLS and PCG products with T (see the
+    module docstring)."""
+    return fast_len(T._exact_order())
+
+
 def _cgls(T: Toeplitz, b, rtol):
     m, n = T.shape
-    spec = T._spectrum(fast_len(m + n - 1))
+    spec = T._spectrum(_solver_size(T))
     spec_h = np.conj(spec)  # the adjoint's embedding spectrum
     real = T.isreal
     dtype = np.result_type(T.dtype, b.dtype, np.float64)
@@ -386,7 +397,7 @@ def _as_operator(A):
             raise DimensionMismatchError("pcg_solve requires a square operator")
         if isinstance(A, Circulant):
             return A.matvec, n
-        spec, real = A._spectrum(fast_len(2 * n - 1)), A.isreal
+        spec, real = A._spectrum(_solver_size(A)), A.isreal
         return (lambda v: spectral_apply(spec, v, n, real)), n
     arr = np.asarray(A)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -405,11 +416,13 @@ def pcg_solve(
     operators.
 
     `apply_A` may be a callable, a structured matrix, or a dense array; a
-    circulant preconditioner is applied through its fast solve each
-    iteration.  Iteration stops when the recurrence residual satisfies
-    ||b - A x|| <= tol * ||b||; the report carries the recomputed true
-    relative residual, and the converged flag is only set once the true
-    residual meets the tolerance.
+    Toeplitz operator's products run at _solver_size (see the module
+    docstring).  A circulant preconditioner is checked once, as
+    Circulant.solve would check it, and then applied each iteration by one
+    spectral division.  Iteration stops when the recurrence residual
+    satisfies ||b - A x|| <= tol * ||b||; the report carries the recomputed
+    true relative residual, and the converged flag is only set once the
+    true residual meets the tolerance.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -423,8 +436,17 @@ def pcg_solve(
     if bnorm == 0.0:
         return np.zeros_like(bv), SolveReport(0, 0.0, SolveFlag.CONVERGED)
 
-    def precond(v):
-        return M.solve(v) if M is not None else v
+    if M is None:
+        def precond(v):
+            return v
+    else:
+        # M.solve's checks, made once: every residual has b's length
+        M._check_operand(bv, "right-hand side")
+        M._check_nonsingular()
+        spec, real, rows = M.ev, M.isreal, M.n
+
+        def precond(v):
+            return spectral_apply(spec, v, rows, real, divide=True)
 
     def true_residual(x):
         r = bv - apply_A(x)

@@ -13,8 +13,9 @@ allocated, so each product costs two transforms instead of three.  When
 T and the vector are both real, the two are half-length real transforms
 (rfft and irfft) over the Hermitian half of `cev`; `cev` itself always
 holds the full-length spectrum.  `_spectrum(size)` gives the embedding
-spectrum at any order: only the one at `embed_order` is cached, in `cev`.
-The iterative solvers ask it for their own order (see solvers.py).
+spectrum at any order from `_exact_order()` up, which is below m + n - 1
+when T is banded: only the one at `embed_order` is cached, in `cev`.  The
+iterative solvers ask it for their own order (see solvers.py).
 
 Values are immutable apart from the idempotent `cev` cache fill, which is
 safe under concurrent access: readers observe either no cache or a fully
@@ -139,12 +140,39 @@ class Toeplitz(Structured):
 
     def _embedding(self, size: int) -> np.ndarray:
         """First column of the order-`size` circulant embedding, for any
-        size >= m + n - 1; the one place the embedding layout is written."""
+        size >= `_exact_order()`; the one place the embedding layout is
+        written.
+
+        It holds every lag that fits, -min(n-1, size-m) .. min(m-1, size-n):
+        all of them from size m + n - 1 up.  Below that the window still
+        covers T's band, and the lags it leaves out are zero.
+        """
+        m, n = self._m, self._n
+        upper = min(n - 1, size - m)  # lags -upper .. -1, at the end
+        lower = min(m - 1, size - n)  # lags 0 .. lower, at the start
         e = np.zeros(size, dtype=self.dtype)
-        e[: self._m] = self._data[self._n - 1:]
-        if self._n > 1:
-            e[size - (self._n - 1):] = self._data[: self._n - 1]
+        e[: lower + 1] = self._data[n - 1: n + lower]
+        if upper > 0:
+            e[size - upper:] = self._data[n - 1 - upper: n - 1]
         return e
+
+    def _band(self) -> tuple[int, int]:
+        """(u, l) with every nonzero diagonal of T in lags -u .. l, u, l >= 0;
+        (0, 0) for the zero matrix."""
+        nz = np.flatnonzero(self._data)
+        if nz.size == 0:
+            return 0, 0
+        return max(0, self._n - 1 - int(nz[0])), max(0, int(nz[-1]) - (self._n - 1))
+
+    def _exact_order(self) -> int:
+        """The least circulant order whose embedding gives T @ x exactly.
+
+        An order-N product also applies lag d at lags d - N and d + N,
+        which miss T's lags 1-n .. m-1 for every d in the band (u, l)
+        exactly when N >= max(m + u, n + l).  A dense T needs m + n - 1.
+        """
+        u, l = self._band()
+        return max(self._m + u, self._n + l)
 
     def _spectrum(self, size: int | None = None) -> np.ndarray:
         """Spectrum of the order-`size` embedding (default `embed_order`).

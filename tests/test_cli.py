@@ -66,6 +66,20 @@ def test_info_compact_and_full(tmp_path, capsys):
     assert "1." in stdout and "0.5" in stdout
 
 
+@pytest.mark.parametrize("name, band, length", [
+    ("tkms", "-9..9", "20"),  # dense: 2 * 10 - 1 = 19, rounded up to 20
+    ("ttridiag", "-1..1", "12"),  # 10 + 1 = 11, rounded up to 12
+    ("tgrcar", "-3..1", "15"),  # 10 + 3 = 13, rounded up to 15
+])
+def test_info_reports_band_and_solver_length(tmp_path, capsys, name, band, length):
+    path = tmp_path / "t.smt"
+    run(capsys, "gen", name, "10", "-o", str(path))
+    code, stdout, _ = run(capsys, "info", str(path))
+    assert code == EXIT_OK
+    assert stdout.splitlines() == ["type: toeplitz", "dims: 10x10", "t: 19 entries",
+                                   "cev: 32", f"band: lags {band}", f"solver length: {length}"]
+
+
 def test_info_tight_embedding_flag(tmp_path, capsys):
     path = tmp_path / "t.smt"
     run(capsys, "gen", "tkms", "4", "-o", str(path))

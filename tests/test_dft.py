@@ -83,15 +83,15 @@ def test_next_pow2():
         next_pow2(0)
 
 
-def _is_7_smooth(k):
-    for p in (2, 3, 5, 7):
+def _is_5_smooth(k):
+    for p in (2, 3, 5):
         while k % p == 0:
             k //= p
     return k == 1
 
 
 def test_fast_len_matches_brute_force():
-    smooth = [k for k in range(1, 20481) if _is_7_smooth(k)]
+    smooth = [k for k in range(1, 20481) if _is_5_smooth(k)]
     want, i = [], 0
     for k in range(1, 20001):
         while smooth[i] < k:
@@ -102,7 +102,7 @@ def test_fast_len_matches_brute_force():
 
 def test_fast_len_examples_and_bounds():
     assert fast_len(2531) == 2560  # a prime tight embedding order
-    assert fast_len(3007) == 3024  # 31 * 97
+    assert fast_len(3007) == 3072  # 31 * 97; the 7-smooth 3024 is passed over
     assert fast_len(9999) == 10000  # where next_pow2 gives 16384
     for k in (1, 7, 1023, 4097, 123457):
         assert k <= fast_len(k) <= next_pow2(k)

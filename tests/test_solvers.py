@@ -10,6 +10,7 @@ from structmat import (
     DimensionMismatchError,
     EmbeddingPolicy,
     RankDeficientError,
+    SingularMatrixError,
     SolveFlag,
     StructmatError,
     Toeplitz,
@@ -27,7 +28,9 @@ from structmat import (
     toep_lstsq,
 )
 
-from conftest import dense_toeplitz, random_complex, rel_err
+from structmat._structured import spectral_apply
+
+from conftest import dense_toeplitz, random_complex, rel_err, same_bits
 
 
 def dominant_toeplitz(rng, n, complex_entries=True):
@@ -224,6 +227,34 @@ def test_pcg_reported_residual_is_true_residual():
     recomputed = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     assert report.flag is SolveFlag.CONVERGED
     assert abs(report.relative_residual - recomputed) <= 1e-12
+
+
+def test_pcg_checks_its_preconditioner_as_solve_does(monkeypatch):
+    A = Circulant([4.0, 1.0, 0.0, 1.0])
+    b = np.ones(4)
+    with pytest.raises(DimensionMismatchError,
+                       match="right-hand side has leading dimension 4, expected 3"):
+        pcg_solve(A, b, M=Circulant([2.0, 1.0, 1.0]))
+    singular = Circulant([1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(SingularMatrixError, match="singular circulant"):
+        pcg_solve(A, b, M=singular)
+    assert pcg_solve(A, np.zeros(4), M=singular)[1].iterations == 0  # M never consulted
+    # every preconditioner step equals M.solve bit for bit
+    T = smtgallery("gaussian", 200)
+    M = strang(T)
+    divisions = []
+
+    def recording(spec, arr, rows, real, divide=False):
+        out = spectral_apply(spec, arr, rows, real, divide)
+        if divide:
+            divisions.append((arr.copy(), out))
+        return out
+
+    monkeypatch.setattr(solvers, "spectral_apply", recording)
+    _, report = pcg_solve(T, T @ np.ones(200), M=M, tol=1e-10)
+    assert len(divisions) == report.iterations
+    for r, z in divisions:
+        assert same_bits(z, M.solve(r))
 
 
 def test_pcg_validation_and_operator_forms():
@@ -502,6 +533,97 @@ def test_solvers_reuse_cev_at_fast_len(fft_lengths, solve, T):
     forward = [n for d, n in fft_lengths if d == "forward"]
     inverse = [n for d, n in fft_lengths if d == "inverse"]
     assert set(forward) == {1024} and len(forward) == len(inverse)
+
+
+def _banded_tall(rng, m, n, lo, hi, complex_entries, policy):
+    """m-by-n Toeplitz with random entries on lags lo .. hi only."""
+    t = np.zeros(m + n - 1, dtype=complex if complex_entries else float)
+    width = hi - lo + 1
+    t[lo + n - 1: hi + n] = (random_complex(rng, width) if complex_entries
+                             else rng.standard_normal(width))
+    return Toeplitz.from_diagonals(t, m, n, config=Config(embedding=policy))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_banded_solvers_run_at_their_exact_order(fft_lengths, policy):
+    # lags -3 .. 5: max(200 + 3, 70 + 5) = 203, rounded up to 216 = 2^3 3^3
+    T = _banded_tall(np.random.default_rng(11), 200, 70, -3, 5, True, policy)
+    fft_lengths.clear()
+    toep_lstsq(T, np.ones(200))
+    assert {n for _, n in fft_lengths} == {fast_len(203)} == {216}
+    # Hermitian, lags -10 .. 10: 131 + 10 = 141, rounded up to 144
+    col = np.zeros(131)
+    col[:11] = 1.0 / (1.0 + np.arange(11))
+    col[0] = 4.0
+    H = Toeplitz(col, config=Config(embedding=policy))
+    fft_lengths.clear()
+    pcg_solve(H, np.ones(131), tol=1e-10)
+    assert {n for _, n in fft_lengths} == {fast_len(141)} == {144}
+    fft_lengths.clear()
+    H @ np.ones(131)
+    assert {n for _, n in fft_lengths} == {H.embed_order}
+
+
+def _gallery(name, n, policy, **params):
+    G = smtgallery(name, n, **params)
+    return Toeplitz.from_diagonals(G.t, n, n, config=Config(embedding=policy))
+
+
+# Gaussian kernels with p = 0.5 underflow to an exact 0.0 beyond lag 38
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("T", [
+    lambda pol: _gallery("ttridiag", 150, pol),
+    lambda pol: _gallery("ttoeppen", 150, pol, a=1.0, b=-4.0, c=8.0, d=-4.0, e=1.0),
+    lambda pol: _gallery("gaussian", 300, pol, p=0.5),
+    lambda pol: Toeplitz(np.r_[20.0, random_complex(np.random.default_rng(12), 6),
+                               np.zeros(193)], config=Config(embedding=pol)),
+    lambda pol: Toeplitz([3.0], config=Config(embedding=pol)),
+], ids=["ttridiag", "ttoeppen", "gaussian", "complex-band", "1x1"])
+def test_pcg_on_banded_matches_dense_solve(policy, T):
+    T = T(policy)
+    n = T.shape[0]
+    assert T._exact_order() < 2 * n - 1 or n == 1
+    b = random_complex(np.random.default_rng(n), n)
+    x, report = pcg_solve(T, b, tol=1e-12, maxit=10 * n)
+    assert report.flag is SolveFlag.CONVERGED
+    assert rel_err(x, np.linalg.solve(dense_toeplitz(T.t, n, n), b)) <= 1e-9
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("T", [
+    lambda pol: _gallery("ttridiag", 240, pol, d=4.0)[:, :160],
+    lambda pol: _gallery("ttoeppen", 240, pol)[:, :160],
+    lambda pol: _gallery("tgrcar", 240, pol)[:, :160],
+    lambda pol: _gallery("gaussian", 240, pol, p=0.5)[:, :160],
+    lambda pol: _banded_tall(np.random.default_rng(13), 200, 80, -5, 7, True, pol),
+    lambda pol: _banded_tall(np.random.default_rng(14), 200, 80, 2, 9, False, pol),
+    lambda pol: _banded_tall(np.random.default_rng(15), 200, 80, -3, 0, False, pol),
+], ids=["ttridiag", "ttoeppen", "tgrcar", "gaussian", "complex-band", "lower", "upper"])
+def test_cgls_on_banded_matches_dense_lstsq(policy, T):
+    T = T(policy)
+    m, n = T.shape
+    assert T._exact_order() < m + n - 1 and T.policy is policy
+    b = random_complex(np.random.default_rng(m + n), m)
+    want, *_ = np.linalg.lstsq(dense_toeplitz(T.t, m, n), b, rcond=None)
+    assert rel_err(toep_lstsq(T, b), want) <= 1e-9
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_one_by_one_cgls(policy):
+    T = Toeplitz([-4.0], config=Config(embedding=policy))
+    x = solvers._cgls(T, np.array([2.0]), solvers.LSTSQ_RTOL)
+    assert np.allclose(x, [-0.5], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_zero_matrix_outcomes(policy):
+    cfg = Config(embedding=policy)
+    Z = Toeplitz.from_diagonals(np.zeros(199), 100, 100, config=cfg)
+    assert Z._band() == (0, 0) and Z._exact_order() == 100
+    _, report = pcg_solve(Z, np.ones(100))
+    assert report.flag is SolveFlag.BREAKDOWN
+    with pytest.raises(RankDeficientError, match="stagnated"):
+        toep_lstsq(Toeplitz.from_diagonals(np.zeros(279), 200, 80, config=cfg), np.ones(200))
 
 
 def test_lazy_cev_fills_only_when_its_order_is_fast():

@@ -11,7 +11,9 @@ from structmat import (
     config_set,
 )
 
-from conftest import dense_toeplitz, random_complex, rel_err
+from structmat._structured import spectral_apply, spectrum_of
+
+from conftest import dense_toeplitz, random_complex, rel_err, same_bits
 
 
 def paper_example():
@@ -121,6 +123,80 @@ def test_cev_coherence():
         T = Toeplitz.from_diagonals(t, 5, 8, config=Config(embedding=policy))
         want = np.fft.fft(T.embed())
         assert np.max(np.abs(T.cev - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+# -- the shortest exact embedding of a banded T -------------------------------
+
+
+def _band_extents(m, n):
+    """Every (lo, hi) extent of the nonzero lags of an m-by-n matrix, with
+    (1, 0) for the zero matrix."""
+    yield 1, 0
+    for lo in range(1 - n, m):
+        for hi in range(lo, m):
+            yield lo, hi
+
+
+def _with_band(rng, m, n, lo, hi):
+    """Diagonal vector with generic nonzero values on lags lo .. hi only."""
+    t = np.zeros(m + n - 1)
+    width = max(0, hi - lo + 1)
+    t[lo + n - 1: hi + n] = rng.uniform(1.0, 2.0, width) * rng.choice([-1.0, 1.0], width)
+    return t
+
+
+def _circulant_has_block(t, m, n, size):
+    """Brute force: whether the order-`size` circulant holding T's nonzero
+    lags has T as its leading m-by-n block."""
+    c = np.zeros(size)
+    for d in range(1 - n, m):
+        if t[d + n - 1] != 0.0:
+            c[d % size] = t[d + n - 1]
+    block = c[(np.arange(m)[:, None] - np.arange(n)[None, :]) % size]
+    return np.array_equal(block, dense_toeplitz(t, m, n))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_exact_order_is_the_least_exact_circulant(m):
+    rng = np.random.default_rng(m)
+    for n in range(1, 9):
+        for lo, hi in _band_extents(m, n):
+            t = _with_band(rng, m, n, lo, hi)
+            T = Toeplitz.from_diagonals(t, m, n)
+            u, l = (max(0, -lo), max(0, hi)) if lo <= hi else (0, 0)
+            order = max(m + u, n + l)
+            assert T._band() == (u, l) and T._exact_order() == order
+            dense = dense_toeplitz(t, m, n)
+            # the product is defined from order max(m, n) up, where the
+            # operand fits and the result can be cropped
+            for size in range(max(m, n), m + n + 1):
+                assert _circulant_has_block(t, m, n, size) == (size >= order), (lo, hi, size)
+                got = spectral_apply(T._spectrum(size), np.eye(n), m, True)
+                if size >= order:
+                    assert np.max(np.abs(got - dense)) <= 1e-12 * 2.0 * n
+                else:
+                    assert np.max(np.abs(got - dense)) >= 0.5
+
+
+@pytest.mark.parametrize("policy", [EmbeddingPolicy.TIGHT, EmbeddingPolicy.POW2])
+@pytest.mark.parametrize("lags", [(-20, 30), (-3, 5), (0, 4), (-6, -2), (2, 2)],
+                         ids=["dense", "band", "lower", "upper", "one-lag"])
+def test_embed_unchanged_by_the_band(policy, lags):
+    # the layout every embedding order from m + n - 1 up had before the band
+    # rule, written out here; signed zeros off the band must survive
+    m, n = 31, 21
+    lo, hi = lags
+    t = np.full(m + n - 1, -0.0)
+    t[lo + n - 1: hi + n] = np.random.default_rng(hi - lo).standard_normal(hi - lo + 1)
+    T = Toeplitz.from_diagonals(t, m, n, config=Config(embedding=policy))
+    size = T.embed_order
+    want = np.zeros(size)
+    want[:m] = t[n - 1:]
+    want[size - (n - 1):] = t[: n - 1]
+    assert same_bits(T.embed(), want)
+    assert same_bits(T.cev, spectrum_of(want))
+    x = np.random.default_rng(7).standard_normal(n)
+    assert same_bits(T @ x, spectral_apply(spectrum_of(want), x, m, True))
 
 
 def test_add():
