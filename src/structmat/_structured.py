@@ -107,17 +107,17 @@ def cyclic_reverse(v):
 
 
 def spectrum_of(x):
-    """Full-length DFT of the 1-d vector `x`.
+    """Full-length DFT of `x` along axis 0.
 
     Real `x` takes one half-length rfft: its spectrum is Hermitian, so the
     upper half is the conjugate mirror of the lower one, exactly.
     """
     if np.iscomplexobj(x):
-        return np.fft.fft(x)
+        return np.fft.fft(x, axis=0)
     n = x.shape[0]
-    half = np.fft.rfft(x)
+    half = np.fft.rfft(x, axis=0)
     h = half.shape[0]
-    full = np.empty(n, dtype=half.dtype)
+    full = np.empty((n,) + half.shape[1:], dtype=half.dtype)
     full[:h] = half
     full[h:] = np.conj(half[n - h:0:-1])
     return full
@@ -137,6 +137,7 @@ def entries_of(spec, real):
 def spectral_apply(spec, arr, rows, real, divide=False):
     """Multiply (or, with `divide`, solve) along axis 0 of `arr` by the
     circulant whose eigenvalues are `spec`, keeping the first `rows` rows.
+    A 2-d `spec` holds one spectrum per column of a 2-d `arr`.
 
     `arr` is zero-padded to N = len(spec), so an embedded Toeplitz product
     and a plain circulant product are the same two transforms.  `real` says
@@ -150,7 +151,7 @@ def spectral_apply(spec, arr, rows, real, divide=False):
         forward, inverse, spec = np.fft.rfft, np.fft.irfft, spec[: N // 2 + 1]
     else:
         forward, inverse = np.fft.fft, np.fft.ifft
-    spec = spec.reshape((-1,) + (1,) * (arr.ndim - 1))
+    spec = spec.reshape(spec.shape + (1,) * (arr.ndim - spec.ndim))
     freq = forward(arr, n=N, axis=0)
     # a single-precision operand transforms to complex64; widen it so the
     # in-place steps below never round the spectrum or the product down

@@ -112,7 +112,9 @@ class Circulant(Structured):
         # values are immutable, so the verdict (the error message, or "" for
         # nonsingular) is computed once; concurrent fills write equal strings
         if self._singular is None:
-            mags = np.abs(self._spec)
+            # a real column's spectrum mirrors its first half exactly
+            half = self.n // 2 + 1 if self.isreal else self.n
+            mags = np.abs(self._spec[:half])
             lo, hi = mags.min(), mags.max()
             self._singular = (
                 "singular circulant: smallest eigenvalue magnitude "

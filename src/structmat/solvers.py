@@ -12,18 +12,30 @@ user-registered replacements according to the active configuration.
 
 The solvers choose their own transform length.  CGLS and PCG run every
 product with an m-by-n Toeplitz T at _solver_size(T), whatever T's
-embedding policy: the shortest circulant order that gives T @ x exactly,
-max(m + u, n + l) for T's band of lags -u .. l (see
-Toeplitz._exact_order), rounded up by fast_len to a 2*3*5-smooth length.
-For a dense T that order is m + n - 1.  A banded T, or a kernel whose
-tail underflows to zero, needs little more than half of it.  A smooth
-length transforms several times faster than a tight one with a large
-prime factor, and is never longer than the power of two.  The spectrum
-comes from T._spectrum(_solver_size(T)): when T's own embedding already
-has that order its cached `cev` serves; otherwise one transform per solve
-builds the spectrum, and T keeps its policy, its `cev` and its own
-products.  Levinson's Gohberg-Semencul products are convolutions of
-length 2n - 1 whatever the band, and run at fast_len(2n - 1).
+embedding policy (PCG's corner split, below, runs none at all): the
+shortest circulant order that gives T @ x exactly, max(m + u, n + l) for
+T's band of lags -u .. l (see Toeplitz._exact_order), rounded up by
+fast_len to a 2*3*5-smooth length.  For a dense T that order is
+m + n - 1.  A banded T, or a kernel whose tail underflows to zero, needs
+little more than half of it.  A smooth length transforms several times
+faster than a tight one with a large prime factor, and is never longer
+than the power of two.  The spectrum comes from
+T._spectrum(_solver_size(T)): when T's own embedding already has that
+order its cached `cev` serves; otherwise one transform per solve builds
+the spectrum, and T keeps its policy, its `cev` and its own products.
+Levinson's Gohberg-Semencul products are convolutions of length 2n - 1
+whatever the band, and run at fast_len(2n - 1).
+
+PCG with a square Toeplitz T and a circulant preconditioner M of its order
+splits T = M + (T - M) when T - M is zero outside two k-by-k corner
+blocks with 4k <= n: so for the Strang preconditioner of a T of band
+beta <= n/4, where k <= beta.  M p then comes from the CG recurrence,
+since M z = r, and (T - M) p from one batched pair of transforms of
+length fast_len(2k - 1), so an iteration makes one order-n round trip,
+for the division by M, instead of two (see pcg_solve and
+_corner_split).  Any other operator or preconditioner takes the product
+above: the optimal and superoptimal ones, and Strang's of a dense T,
+whose corners are n/2 wide.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._structured import spectral_apply
+from ._structured import spectral_apply, spectrum_of
 from ._util import as_vector
 from .circulant import Circulant
 from .config import Config, config_get
@@ -387,22 +399,72 @@ def _cgls(T: Toeplitz, b, rtol):
     )
 
 
-def _as_operator(A):
-    """Normalize an operator argument to (apply, order)."""
+def _order(A):
+    """The order of a square operator argument; None for a callable."""
     if callable(A):
-        return A, None
-    if isinstance(A, (Circulant, Toeplitz)):
-        n = A.shape[0]
-        if A.shape[1] != n:
-            raise DimensionMismatchError("pcg_solve requires a square operator")
-        if isinstance(A, Circulant):
-            return A.matvec, n
-        spec, real = A._spectrum(_solver_size(A)), A.isreal
-        return (lambda v: spectral_apply(spec, v, n, real)), n
-    arr = np.asarray(A)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        return None
+    shape = A.shape if isinstance(A, (Circulant, Toeplitz)) else np.shape(A)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise DimensionMismatchError("pcg_solve requires a square operator")
-    return (lambda v: arr @ v), arr.shape[0]
+    return shape[0]
+
+
+def _as_operator(A):
+    """The product with an operator argument, as a callable."""
+    if callable(A):
+        return A
+    if isinstance(A, Circulant):
+        return A.matvec
+    if isinstance(A, Toeplitz):
+        spec, real, n = A._spectrum(_solver_size(A)), A.isreal, A.shape[0]
+        return lambda v: spectral_apply(spec, v, n, real)
+    arr = np.asarray(A)
+    return lambda v: arr @ v
+
+
+def _corner_split(T: Toeplitz, M: Circulant):
+    """The product with D = T - M by two corner blocks, or None.
+
+    T is square Toeplitz and M circulant, both of order n, so D is Toeplitz
+    with diagonal d_l = t_l - c_(l mod n).  Let k be the least width with
+    D zero on every lag |l| < n - k.  Then D is the sum of the k-by-k
+    Toeplitz blocks U = D[:k, n-k:] and L = D[n-k:, :k], whose diagonal
+    vectors are d[:2k-1] and d[2n-2k:], and their two products are one
+    batched pair of transforms of length fast_len(2k - 1).  For a T of band
+    beta and its Strang preconditioner, k <= beta.
+
+    The split is taken when 4k <= n: the corner transforms then take
+    about 4k <= n points together, against at least n + k for T's own
+    product (see _solver_size).  A wider D saves no transform work, and
+    the split only adds its setup and vector updates: for a dense T,
+    k = floor(n/2) under Strang.  Returns add(v, out), which adds D v to
+    `out` and returns it.
+    """
+    n = M.n
+    d = T.t - np.concatenate((M.col[1:], M.col))
+    # nonzero runs several times faster on a boolean mask than on floats
+    lags = np.flatnonzero(d != 0) - (n - 1)
+    k = n - int(np.abs(lags).min()) if lags.size else 0
+    if 4 * k > n:
+        return None
+    if k == 0:
+        return lambda v, out: out
+    # each block's diagonal vector, its own lags 1-k .. k-1, in rows
+    # 0 .. 2k-2: its product is rows k-1 .. 2k-2 of a convolution that no
+    # length from 2k - 1 up wraps
+    blocks = np.zeros((fast_len(2 * k - 1), 2), dtype=d.dtype)
+    blocks[: 2 * k - 1] = np.array((d[: 2 * k - 1], d[2 * n - 2 * k:])).T
+    spec = spectrum_of(blocks)
+    real = not np.iscomplexobj(d)
+
+    def add(v, out):
+        operands = np.array((v[n - k:], v[:k])).T
+        y = spectral_apply(spec, operands, 2 * k - 1, real)[k - 1:]
+        out[:k] += y[:, 0]
+        out[n - k:] += y[:, 1]
+        return out
+
+    return add
 
 
 def pcg_solve(
@@ -423,10 +485,19 @@ def pcg_solve(
     satisfies ||b - A x|| <= tol * ||b||; the report carries the recomputed
     true relative residual, and the converged flag is only set once the
     true residual meets the tolerance.
+
+    A Toeplitz operator T whose difference from M lives in two narrow
+    corner blocks (see _corner_split; so for the Strang preconditioner of
+    a banded T) is applied as T p = M p + (T - M) p.  M p comes from the
+    recurrence: M p_0 = b, and p = z + beta p with M z = r gives
+    M p = r + beta M p, recomputed by one product after a restart from
+    the true residual.  So an iteration costs the division by M and one
+    short batched corner product, and T's own spectrum is never built.
+    The true residual is b - (M x + (T - M) x).
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    apply_A, order = _as_operator(apply_A)
+    order = _order(apply_A)
     bv = as_vector(b, "right-hand side") if order is None else _rhs(b, order)
     if maxit is None:
         maxit = bv.shape[0]
@@ -436,6 +507,7 @@ def pcg_solve(
     if bnorm == 0.0:
         return np.zeros_like(bv), SolveReport(0, 0.0, SolveFlag.CONVERGED)
 
+    split = None
     if M is None:
         def precond(v):
             return v
@@ -448,19 +520,36 @@ def pcg_solve(
         def precond(v):
             return spectral_apply(spec, v, rows, real, divide=True)
 
-    def true_residual(x):
-        r = bv - apply_A(x)
-        return r, float(np.linalg.norm(r) / bnorm)
+        def apply_M(v):
+            return spectral_apply(spec, v, rows, real)
+
+        if isinstance(apply_A, Toeplitz):
+            split = _corner_split(apply_A, M)
 
     z = precond(bv)
     dtype = np.result_type(bv, z)
+    if split is None:
+        product = _as_operator(apply_A)
+        p = z.astype(dtype)
+    else:
+        def product(v):
+            return split(v, apply_M(v))
+
+        # p and M p as the rows of one buffer, updated in place
+        dtype = np.result_type(dtype, apply_A.dtype)
+        pm = np.stack((z, bv)).astype(dtype)
+        p, mp = pm
+
+    def true_residual(x):
+        r = bv - product(x)
+        return r, float(np.linalg.norm(r) / bnorm)
+
     x = np.zeros(bv.shape[0], dtype=dtype)
     r = bv.astype(dtype)
-    p = z.astype(dtype)
     rho = np.vdot(r, z)
     flag = None
     for iterations in range(1, maxit + 1):
-        q = apply_A(p)
+        q = product(p) if split is None else split(p, mp.copy())
         pq = np.vdot(p, q)
         if not np.isfinite(pq) or pq == 0.0:
             flag = SolveFlag.BREAKDOWN
@@ -468,17 +557,30 @@ def pcg_solve(
         alpha = rho / pq
         x = x + alpha * p  # out of place: a complex operator upcasts a real x
         r = r - alpha * q
-        if not np.all(np.isfinite(r)):
+        rnorm = np.linalg.norm(r)
+        # a non-finite entry makes the norm non-finite, but an overflowing
+        # norm alone is no breakdown
+        if not np.isfinite(rnorm) and not np.all(np.isfinite(r)):
             flag = SolveFlag.BREAKDOWN
             break
-        if np.linalg.norm(r) <= tol * bnorm:
+        restart = rnorm <= tol * bnorm
+        if restart:
             r_true, rel = true_residual(x)
             if rel <= tol:
                 return x, SolveReport(iterations, rel, SolveFlag.CONVERGED)
             r = r_true  # recurrence drifted; restart from the true residual
         z = precond(r)
         rho_new = np.vdot(r, z)
-        p = z + (rho_new / rho) * p
+        beta = rho_new / rho
+        if split is None:
+            p = z + beta * p
+        else:
+            pm *= beta
+            p += z
+            if restart:
+                mp[:] = apply_M(p)  # no drift carried past a restart
+            else:
+                mp += r
         rho = rho_new
     rel = true_residual(x)[1]
     if flag is None:

@@ -12,6 +12,7 @@ from structmat import (
     Toeplitz,
     dft,
 )
+from structmat.circulant import SINGULARITY_RTOL
 
 from conftest import dense_circulant, random_complex, rel_err
 
@@ -370,3 +371,42 @@ def test_real_inputs_stay_real():
     assert C.inv().isreal
     assert C.solve(rng.standard_normal(10)).dtype.kind == "f"
     assert isinstance(C.det(), float)
+
+
+def _full_spectrum_verdict(C):
+    """The singularity message from every eigenvalue, or "" if nonsingular."""
+    mags = np.abs(C.ev)
+    lo, hi = mags.min(), mags.max()
+    if lo > SINGULARITY_RTOL * hi:
+        return ""
+    return (f"singular circulant: smallest eigenvalue magnitude {lo:.3e} "
+            f"is below {SINGULARITY_RTOL:g} * {hi:.3e}")
+
+
+def _singularity_cases():
+    rng = np.random.default_rng(8)
+    cases = [Circulant([2.0]), Circulant([0.0]), Circulant([1.0, 1.0]),
+             Circulant([1.0, -1.0, 1.0, -1.0]), Circulant(np.ones(7)),
+             Circulant([1.0, 1e-14, 0.0, 0.0, 0.0]), Circulant(1j * np.ones(4))]
+    for n in (6, 9):
+        C = Circulant(rng.standard_normal(n))
+        D = Circulant(rng.standard_normal(n))
+        cases += [C, C.inv(), C @ D, C ** 3, C ** -2, C - C, C + 0.0 * D,
+                  Circulant(random_complex(rng, n))]
+        # zero the eigenvalue pair j, n - j of a real circulant, or its DC term
+        for j in (0, 1, n // 2):
+            ev = np.fft.fft(rng.standard_normal(n))
+            ev[j] = ev[-j] = 0.0
+            cases.append(Circulant(np.fft.ifft(ev).real))
+    return cases
+
+
+@pytest.mark.parametrize("C", _singularity_cases())
+def test_singularity_verdict_matches_full_spectrum(C):
+    want = _full_spectrum_verdict(C)
+    if want:
+        with pytest.raises(SingularMatrixError) as info:
+            C._check_nonsingular()
+        assert str(info.value) == want
+    else:
+        C._check_nonsingular()

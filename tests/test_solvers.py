@@ -19,11 +19,13 @@ from structmat import (
     embedded_size,
     fast_len,
     levinson_solve,
+    optimal,
     pcg_solve,
     register_tsolve,
     smtgallery,
     solvers,
     strang,
+    superoptimal,
     toep_divide,
     toep_lstsq,
 )
@@ -663,3 +665,127 @@ def test_pcg_matches_dense_solve(n, policy, complex_entries):
     want = np.linalg.solve(dense_toeplitz(T.t, n, n), b)
     assert report.flag is SolveFlag.CONVERGED
     assert rel_err(x, want) <= 1e-10
+
+
+# -- PCG's corner split: T p = M p + (T - M) p --------------------------------
+
+
+def _strang_cases(policy, band):
+    """Toeplitz matrices with lags -band .. band, real symmetric, real
+    nonsymmetric and complex non-Hermitian, at odd and even orders."""
+    rng = np.random.default_rng(16 + band)
+    cfg = Config(embedding=policy)
+    cases = []
+    for n in (1, 2, 3, 8, 9, 40, 41):
+        lags = np.arange(1 - n, n)
+        inside = np.abs(lags) <= band
+        col = np.where(inside, rng.standard_normal(2 * n - 1), 0.0)[n - 1:]
+        cases += [Toeplitz(col, config=cfg)]
+        for t in (rng.standard_normal(2 * n - 1), random_complex(rng, 2 * n - 1)):
+            cases.append(Toeplitz.from_diagonals(np.where(inside, t, 0), n, n, config=cfg))
+    return cases
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("band", [0, 1, 2, 10, 40])
+def test_corner_split_matches_dense_product(policy, band):
+    rng = np.random.default_rng(17)
+    for T in _strang_cases(policy, band):
+        n = T.shape[0]
+        M = strang(T)
+        add = solvers._corner_split(T, M)
+        A = T.full()
+        i, j = np.nonzero(A - M.full())
+        k = n - np.abs(i - j).min() if i.size else 0  # D is zero on |l| < n - k
+        assert (add is None) == (4 * k > n), (n, band)
+        if add is None:
+            continue
+        for p in (rng.standard_normal(n), random_complex(rng, n)):
+            got = add(p, (M @ p).astype(complex))
+            assert rel_err(got, A @ p) <= 1e-14, (n, T.dtype, p.dtype)
+
+
+def test_corner_split_is_decided_by_the_data():
+    rng = np.random.default_rng(18)
+    T = _gallery("ttridiag", 64, EmbeddingPolicy.POW2)
+    assert solvers._corner_split(T, strang(T)) is not None
+    for M in (optimal(T), superoptimal(T), Circulant(rng.standard_normal(64) + 8.0)):
+        assert solvers._corner_split(T, M) is None
+    # a dense T's Strang corners are n/2 wide and save no transform work
+    D = smtgallery("tkms", 64, rho=0.5)
+    assert solvers._corner_split(D, strang(D)) is None
+    # any circulant qualifies that T differs from only near the corners
+    C = Circulant(rng.standard_normal(64))
+    p = rng.standard_normal(64)
+    for lags, splits in (([-63, 50], True), ([-60, 61], True), ([], True), ([40], False)):
+        t = C.to_toeplitz().t.copy()
+        t[np.add(lags, 63).astype(int)] += 1.0
+        U = Toeplitz.from_diagonals(t, 64, 64)
+        add = solvers._corner_split(U, C)
+        assert (add is not None) == splits
+        if splits:
+            assert rel_err(add(p, C @ p), U.full() @ p) <= 1e-14
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("T, splits", [
+    (lambda pol: _gallery("gaussian", 300, pol, p=0.5), True),  # zero beyond lag 38
+    # the default ttridiag's Strang preconditioner is singular
+    (lambda pol: _gallery("ttridiag", 150, pol, d=4.0), True),
+    (lambda pol: _gallery("ttoeppen", 151, pol, a=1.0, b=-4.0, c=8.0, d=-4.0, e=1.0), True),
+    (lambda pol: Toeplitz(np.r_[20.0, random_complex(np.random.default_rng(12), 6),
+                                np.zeros(193)], config=Config(embedding=pol)), True),
+    (lambda pol: _gallery("tkms", 120, pol, rho=0.5), False),
+], ids=["gaussian", "ttridiag", "ttoeppen", "complex-band", "tkms"])
+def test_pcg_with_strang_matches_dense_solve(policy, T, splits):
+    T = T(policy)
+    n = T.shape[0]
+    M = strang(T)
+    assert (solvers._corner_split(T, M) is not None) == splits
+    b = random_complex(np.random.default_rng(n), n)
+    x, report = pcg_solve(T, b, M=M, tol=1e-12, maxit=10 * n)
+    A = dense_toeplitz(T.t, n, n)
+    assert report.flag is SolveFlag.CONVERGED
+    assert rel_err(x, np.linalg.solve(A, b)) <= 1e-9
+    assert abs(report.relative_residual
+               - np.linalg.norm(b - A @ x) / np.linalg.norm(b)) <= 1e-14
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_split_pcg_never_transforms_at_the_solver_length(fft_lengths, policy):
+    # Hermitian, lags -10 .. 10: T - strang(T) lives in two 10-by-10 corners
+    col = np.zeros(131)
+    col[:11] = 1.0 / (1.0 + np.arange(11))
+    col[0] = 4.0
+    H = Toeplitz(col, config=Config(embedding=policy))
+    M = strang(H)
+    fft_lengths.clear()
+    pcg_solve(H, np.ones(131), M=M, tol=1e-10)
+    assert {n for _, n in fft_lengths} == {131, fast_len(19)} == {131, 20}
+    assert solvers._solver_size(H) == 144
+
+
+def test_split_pcg_restart_reports_the_true_residual(monkeypatch):
+    # tol below attainable accuracy: the recurrence residual passes it while
+    # the true one stalls near 1e-15, so the loop restarts from the true one
+    T = smtgallery("ttridiag", 64, d=4.0)
+    M = strang(T)
+    b = np.random.default_rng(3).standard_normal(64)
+    events = []  # "d" a division by M, "m" a product with M
+
+    def recording(spec, arr, rows, real, divide=False):
+        if spec is M.ev:
+            events.append("d" if divide else "m")
+        return spectral_apply(spec, arr, rows, real, divide)
+
+    monkeypatch.setattr(solvers, "spectral_apply", recording)
+    x, report = pcg_solve(T, b, M=M, tol=1e-16, maxit=60)
+    assert report.flag is SolveFlag.MAX_ITERATIONS
+    # a restart takes M x for the true residual, divides, and recomputes M p
+    trail = "".join(events)
+    assert re.fullmatch(r"d(d|mdm)*m", trail) and "mdm" in trail
+    monkeypatch.undo()
+    r = b - solvers._corner_split(T, M)(x, M @ x)
+    assert report.relative_residual == np.linalg.norm(r) / np.linalg.norm(b)
+    dense = np.linalg.norm(b - T.full() @ x) / np.linalg.norm(b)
+    assert abs(report.relative_residual - dense) <= 1e-15
