@@ -3,14 +3,8 @@
 Circulant and Toeplitz values each store one short vector of entries in
 `_data` (`col` or `t`) and a spectrum in `_spec` (`ev` or `cev`).
 `Structured` writes their common behaviour once: the operator dunders,
-transposes and entrywise maps, indexing, and the spectral product kernel.
-
-The spectrum is always the full-length DFT, also for real values, where it
-is Hermitian.  Every transform of real data runs at half length:
-`spectrum_of` and `entries_of` convert between entries and spectrum, and
-`spectral_apply` multiplies or divides, each with one rfft or irfft.  The
-kernel takes the half-length path exactly when the matrix is real and the
-operand is not complex; `spectral_apply` is the one place that tests it.
+transposes and entrywise maps, and indexing.  The spectrum is the
+full-length DFT, whose transforms and products live in dft.py.
 
 A derived value carries the spectrum of its operands where a cheap exact
 rule gives it, and recomputes it otherwise:
@@ -59,16 +53,14 @@ import operator
 import numpy as np
 
 from ._util import is_scalar
+from .dft import spectral_apply
 from .errors import DimensionMismatchError
 
 __all__ = [
     "ENTRYWISE_MAPS",
     "Structured",
     "cyclic_reverse",
-    "entries_of",
     "reversal_index",
-    "spectral_apply",
-    "spectrum_of",
 ]
 
 
@@ -104,65 +96,6 @@ def reversal_index(n):
 def cyclic_reverse(v):
     """v[reversal_index(len(v))] by two slices instead of an index gather."""
     return np.concatenate([v[:1], v[:0:-1]])
-
-
-def spectrum_of(x):
-    """Full-length DFT of `x` along axis 0.
-
-    Real `x` takes one half-length rfft: its spectrum is Hermitian, so the
-    upper half is the conjugate mirror of the lower one, exactly.
-    """
-    if np.iscomplexobj(x):
-        return np.fft.fft(x, axis=0)
-    n = x.shape[0]
-    half = np.fft.rfft(x, axis=0)
-    h = half.shape[0]
-    full = np.empty((n,) + half.shape[1:], dtype=half.dtype)
-    full[:h] = half
-    full[h:] = np.conj(half[n - h:0:-1])
-    return full
-
-
-def entries_of(spec, real):
-    """Inverse DFT of the full spectrum `spec`.
-
-    `real` says the exact result is real, so `spec` is Hermitian and one
-    half-length irfft of spec[:N//2 + 1] gives the entries.
-    """
-    if real:
-        return np.fft.irfft(spec[: spec.shape[0] // 2 + 1], spec.shape[0])
-    return np.fft.ifft(spec)
-
-
-def spectral_apply(spec, arr, rows, real, divide=False):
-    """Multiply (or, with `divide`, solve) along axis 0 of `arr` by the
-    circulant whose eigenvalues are `spec`, keeping the first `rows` rows.
-    A 2-d `spec` holds one spectrum per column of a 2-d `arr`.
-
-    `arr` is zero-padded to N = len(spec), so an embedded Toeplitz product
-    and a plain circulant product are the same two transforms.  `real` says
-    the matrix is real: if `arr` is real too, `spec` is Hermitian and the
-    two transforms are half-length real ones, rfft and irfft over the view
-    spec[:N//2 + 1], whose output is already real.  Otherwise they are
-    full-length complex fft and ifft.
-    """
-    N = spec.shape[0]
-    if real and not np.iscomplexobj(arr):
-        forward, inverse, spec = np.fft.rfft, np.fft.irfft, spec[: N // 2 + 1]
-    else:
-        forward, inverse = np.fft.fft, np.fft.ifft
-    spec = spec.reshape(spec.shape + (1,) * (arr.ndim - spec.ndim))
-    freq = forward(arr, n=N, axis=0)
-    # a single-precision operand transforms to complex64; widen it so the
-    # in-place steps below never round the spectrum or the product down
-    freq = freq.astype(np.result_type(freq, spec), copy=False)
-    # keep the operand order: numpy's complex multiply fuses multiply-adds,
-    # so spec * freq and freq * spec can differ in the last bit
-    if divide:
-        np.divide(freq, spec, out=freq)
-    else:
-        np.multiply(spec, freq, out=freq)
-    return inverse(freq, n=N, axis=0)[:rows]
 
 
 class Structured:

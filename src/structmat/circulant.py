@@ -3,9 +3,10 @@
 An order-n circulant matrix C is fully determined by its first column c:
 entry (i, j) equals c[(i - j) mod n].  Every circulant is diagonalized by
 the unitary Fourier matrix, so its eigenvalue vector is simply the forward
-DFT of c.  The eigenvalues are computed once at construction, kept coherent
-through every structure-preserving operation, and reused so that products,
-powers, inverses and linear solves all run in O(n log n).
+DFT of c, stored at full length (see dft.py, whose kernels run every
+product and solve).  The eigenvalues are computed once at construction,
+kept coherent through every structure-preserving operation, and reused so
+that products, powers, inverses and linear solves all run in O(n log n).
 
 Values are immutable; operations return new objects.  Circulants sit at the
 bottom of the promotion lattice (see _structured.py): circulant (op)
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._structured import Structured, cyclic_reverse, entries_of, spectral_apply, spectrum_of
+from ._structured import Structured, cyclic_reverse
 from ._util import as_vector, frozen, require_finite
-from .dft import fourier_matrix
+from .dft import entries_of, fourier_matrix, spectral_apply, spectrum_of
 from .errors import SingularMatrixError
 from .toeplitz import Toeplitz
 
@@ -112,9 +113,7 @@ class Circulant(Structured):
         # values are immutable, so the verdict (the error message, or "" for
         # nonsingular) is computed once; concurrent fills write equal strings
         if self._singular is None:
-            # a real column's spectrum mirrors its first half exactly
-            half = self.n // 2 + 1 if self.isreal else self.n
-            mags = np.abs(self._spec[:half])
+            mags = np.abs(self._spec)
             lo, hi = mags.min(), mags.max()
             self._singular = (
                 "singular circulant: smallest eigenvalue magnitude "

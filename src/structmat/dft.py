@@ -18,6 +18,15 @@ pocketfft's real transforms run slower on 7-smooth lengths than on the
 next 5-smooth one (an rfft/irfft pair takes about 147 us at 5103 = 3^6 * 7
 and 107 us at 5120 on a 2-core Xeon with numpy 2.4), and complex
 transforms gain nothing from it.
+
+Every transform in the package is a `forward` or `inverse` call, which
+looks up `np.fft.<name>` as it runs.  With `real` set, when the operand and
+the exact result are both real, they take the half-length rfft and irfft
+(Sorensen et al., IEEE TASSP 35 (1987)).  A stored spectrum, `ev` or `cev`,
+is always the full-length DFT; for real entries it is Hermitian, its upper
+half the exact conjugate mirror of the lower, and the half-length path
+reads rows 0 .. N//2 only.  `spectrum_of`, `entries_of` and `spectral_apply`
+apply this rule along axis 0.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ import numpy as np
 
 from ._util import as_vector
 
-__all__ = ["dft", "idft", "next_pow2", "fast_len", "fourier_matrix"]
+__all__ = ["dft", "idft", "next_pow2", "fast_len", "fourier_matrix", "forward",
+           "inverse", "spectrum_of", "entries_of", "spectral_apply"]
 
 
 def dft(v) -> np.ndarray:
@@ -37,6 +47,67 @@ def dft(v) -> np.ndarray:
 def idft(v) -> np.ndarray:
     """Inverse DFT (with 1/N normalization) of a 1-d vector."""
     return np.fft.ifft(as_vector(v))
+
+
+def forward(x, n, real, axis=-1):
+    """Unnormalized DFT of length `n` along `axis`: the half spectrum by rfft
+    when `real`, else the full one by fft."""
+    return np.fft.rfft(x, n, axis) if real else np.fft.fft(x, n, axis)
+
+
+def inverse(X, n, real, axis=-1):
+    """Inverse DFT of length `n` along `axis`: irfft of the half spectrum `X`
+    when `real`, else ifft of the full one."""
+    return np.fft.irfft(X, n, axis) if real else np.fft.ifft(X, n, axis)
+
+
+def _half(spec, real):
+    return spec[: spec.shape[0] // 2 + 1] if real else spec
+
+
+def spectrum_of(x):
+    """Full-length DFT of `x` along axis 0; real `x` takes one rfft."""
+    n = x.shape[0]
+    real = not np.iscomplexobj(x)
+    spec = forward(x, n, real, 0)
+    if not real:
+        return spec
+    h = spec.shape[0]
+    full = np.empty((n,) + spec.shape[1:], dtype=spec.dtype)
+    full[:h] = spec
+    full[h:] = np.conj(spec[n - h:0:-1])
+    return full
+
+
+def entries_of(spec, real):
+    """Inverse DFT of the full spectrum `spec`, real-valued when `real`."""
+    return inverse(_half(spec, real), spec.shape[0], real, 0)
+
+
+def spectral_apply(spec, arr, rows, real, divide=False):
+    """Multiply (or, with `divide`, solve) along axis 0 of `arr` by the
+    circulant whose eigenvalues are `spec`, keeping the first `rows` rows.
+    A 2-d `spec` holds one spectrum per column of a 2-d `arr`.
+
+    `arr` is zero-padded to N = len(spec), so an embedded Toeplitz product
+    and a plain circulant product are the same two transforms.  `real` says
+    the matrix is real; the transforms are half-length if `arr` is real too.
+    """
+    N = spec.shape[0]
+    real = real and not np.iscomplexobj(arr)
+    spec = _half(spec, real)
+    spec = spec.reshape(spec.shape + (1,) * (arr.ndim - spec.ndim))
+    freq = forward(arr, N, real, 0)
+    # a single-precision operand transforms to complex64; widen it so the
+    # in-place steps below never round the spectrum or the product down
+    freq = freq.astype(np.result_type(freq, spec), copy=False)
+    # keep the operand order: numpy's complex multiply fuses multiply-adds,
+    # so spec * freq and freq * spec can differ in the last bit
+    if divide:
+        np.divide(freq, spec, out=freq)
+    else:
+        np.multiply(spec, freq, out=freq)
+    return inverse(freq, N, real, 0)[:rows]
 
 
 def next_pow2(k: int) -> int:

@@ -20,9 +20,8 @@ import threading
 
 import numpy as np
 
-from ._structured import spectrum_of
 from .circulant import Circulant
-from .dft import fast_len
+from .dft import fast_len, forward, inverse, spectrum_of
 from .errors import DimensionMismatchError, SingularMatrixError
 from .toeplitz import Toeplitz
 
@@ -134,10 +133,10 @@ def _gram_projection_ev(T: Toeplitz) -> np.ndarray:
     P = np.where(d >= 0, T.t, 0)
     N = T.t - P
     real = T.isreal
-    F = (np.fft.rfft if real else np.fft.fft)([P, (n - d) * P, N, (n + d) * N], L)
+    F = forward([P, (n - d) * P, N, (n + d) * N], L, real)
     G = [F[1] * np.conj(F[0]) + F[2] * np.conj(F[3]), F[0] * np.conj(F[2])]
     # lags 0..2n-2, unwrapped as L >= 4n-3
-    same, mixed = (np.fft.irfft(G, L) if real else np.fft.ifft(G))[:, : 2 * n - 1]
+    same, mixed = inverse(G, L, real)[:, : 2 * n - 1]
     r = same + np.maximum(n - np.arange(2 * n - 1), 0) * mixed
     r = np.concatenate([np.conj(r[:0:-1]), r])  # lags 2-2n..2n-2
     return spectrum_of(_fold(r, np.arange(2 - 2 * n, 2 * n - 1), n) / n)

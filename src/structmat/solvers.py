@@ -24,7 +24,8 @@ T._spectrum(_solver_size(T)): when T's own embedding already has that
 order its cached `cev` serves; otherwise one transform per solve builds
 the spectrum, and T keeps its policy, its `cev` and its own products.
 Levinson's Gohberg-Semencul products are convolutions of length 2n - 1
-whatever the band, and run at fast_len(2n - 1).
+whatever the band, and run at fast_len(2n - 1).  Every transform is a call
+into dft.py, half-length on real data.
 
 PCG with a square Toeplitz T and a circulant preconditioner M of its order
 splits T = M + (T - M) when T - M is zero outside two k-by-k corner
@@ -46,11 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._structured import spectral_apply, spectrum_of
 from ._util import as_vector
 from .circulant import Circulant
 from .config import Config, config_get
-from .dft import fast_len
+from .dft import fast_len, forward, inverse, spectral_apply, spectrum_of
 from .errors import (
     BreakdownError,
     DimensionMismatchError,
@@ -123,6 +123,7 @@ def _check_overdetermined(m: int, n: int) -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     """Solve a square nonsingular Toeplitz system by a superfast Levinson
     recursion, the Gohberg-Semencul formula and one refinement step.
@@ -140,8 +141,8 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     The answer carries a certificate: its normwise backward error
     ||b - T x||_1 / (||T||_1 ||x||_1 + ||b||_1) must not exceed
     BACKWARD_RTOL, or BreakdownError is raised.  So an ill-conditioned
-    system whose recursion loses all accuracy raises instead of returning a
-    meaningless x.
+    system whose recursion loses all accuracy, or overflows, raises instead
+    of returning a meaningless x, and numpy emits no warning on the way.
     """
     if not isinstance(T, Toeplitz):
         raise TypeError("levinson_solve expects a Toeplitz matrix")
@@ -172,12 +173,13 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     norm_T = (sums[n:] - sums[:n]).max()
     error = np.abs(r).sum()
     bound = norm_T * np.abs(x).sum() + np.abs(bv).sum()
-    # written to fail on NaN, and on an infinite x, whose bound is infinite
+    # written to fail on NaN, and on an overflowed x, whose bound is not finite
     if not (error <= BACKWARD_RTOL * bound and np.isfinite(bound)):
+        cause = (f"backward error {error / bound:.1e} exceeds {BACKWARD_RTOL:.0e}"
+                 if np.isfinite(bound) else "overflow in the solution")
         raise BreakdownError(
-            f"Levinson backward error {error / bound:.1e} exceeds {BACKWARD_RTOL:.0e}: "
-            "ill-conditioned system; disable the internal solver to fall back to a "
-            "dense factorization"
+            f"Levinson {cause}: ill-conditioned system; disable the internal solver "
+            "to fall back to a dense factorization"
         )
     return x
 
@@ -236,14 +238,14 @@ def _order_steps(windows, k0):
         np.stack([windows[:, 0, :h1], windows[:, 1, h - h1:]], axis=1), k0)
     size = fast_len(h + 1)
     real = not np.iscomplexobj(windows)
-    forward, inverse = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     both = np.zeros((2, 4, h), dtype=windows.dtype)
     both[:, :2, : h1 + 1] = first
     both[:, 2:] = windows
-    spec = forward(both, size)
+    spec = forward(both, size, real)
     spec1 = spec[:, :2]
-    second = _order_steps(inverse(_poly_matmul(spec1, spec[:, 2:]), size)[..., h1:h], k0 + h1)
-    return inverse(_poly_matmul(forward(second, size), spec1), size)[..., : h + 1]
+    second = _order_steps(
+        inverse(_poly_matmul(spec1, spec[:, 2:]), size, real)[..., h1:h], k0 + h1)
+    return inverse(_poly_matmul(forward(second, size, real), spec1), size, real)[..., : h + 1]
 
 
 def _poly_matmul(p, q):
@@ -315,19 +317,18 @@ def _gs_solve(f, w, size, real):
     real.
     """
     n = f.shape[0]
-    forward, inverse = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     gens = np.zeros((4, n), dtype=np.result_type(f, w))
     gens[0] = w
     gens[1, : n - 1] = f[1:]  # J Z J f, so that U(Z J f) = U(J gens[1])
     gens[2] = f / f[0]
     gens[3, 1:] = w[: n - 1] / f[0]  # Z w
-    spec = forward(gens, size)
+    spec = forward(gens, size, real)
     upper, lower = spec[:2], spec[2:]
 
     def solve(x):
-        u = inverse(upper * forward(x, size), size)[:, n - 1: 2 * n - 1]
-        v = lower * forward(u, size)
-        return inverse(v[0] - v[1], size)[:n]
+        u = inverse(upper * forward(x, size, real), size, real)[:, n - 1: 2 * n - 1]
+        v = lower * forward(u, size, real)
+        return inverse(v[0] - v[1], size, real)[:n]
 
     return solve
 

@@ -9,13 +9,12 @@ N = m + n - 1 or the next power of two, per the active embedding policy),
 pad the vector with zeros, multiply in the Fourier domain and crop the
 result.  The embedding eigenvalues are cached in the `cev` field; with the
 `toeprem` setting on (the default) they are computed when the value is
-allocated, so each product costs two transforms instead of three.  When
-T and the vector are both real, the two are half-length real transforms
-(rfft and irfft) over the Hermitian half of `cev`; `cev` itself always
-holds the full-length spectrum.  `_spectrum(size)` gives the embedding
-spectrum at any order from `_exact_order()` up, which is below m + n - 1
-when T is banded: only the one at `embed_order` is cached, in `cev`.  The
-iterative solvers ask it for their own order (see solvers.py).
+allocated, so each product costs two transforms instead of three.  `cev`
+holds the full-length spectrum, and dft.py runs the products, at half
+length when T and the vector are both real.  `_spectrum(size)` gives the
+embedding spectrum at any order from `_exact_order()` up, which is below
+m + n - 1 when T is banded: only the one at `embed_order` is cached, in
+`cev`.  The iterative solvers ask it for their own order (see solvers.py).
 
 Values are immutable apart from the idempotent `cev` cache fill, which is
 safe under concurrent access: readers observe either no cache or a fully
@@ -30,9 +29,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._structured import Structured, spectrum_of
+from ._structured import Structured
 from ._util import as_vector, frozen, require_finite
 from .config import Config, EmbeddingPolicy, config_get, embedded_size
+from .dft import spectrum_of
 from .errors import DimensionMismatchError, UnsupportedOperationError
 
 __all__ = ["Toeplitz"]
@@ -159,7 +159,7 @@ class Toeplitz(Structured):
     def _band(self) -> tuple[int, int]:
         """(u, l) with every nonzero diagonal of T in lags -u .. l, u, l >= 0;
         (0, 0) for the zero matrix."""
-        nz = np.flatnonzero(self._data)
+        nz = np.flatnonzero(self._data != 0)
         if nz.size == 0:
             return 0, 0
         return max(0, self._n - 1 - int(nz[0])), max(0, int(nz[-1]) - (self._n - 1))

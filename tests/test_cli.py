@@ -268,6 +268,16 @@ def test_solve_levinson_ill_conditioned_exit_code(tmp_path, capsys, name, n):
     assert err.startswith("error: BreakdownError: Levinson backward error ")
 
 
+def test_solve_levinson_overflow_exit_code(tmp_path, capsys):
+    # the solution overflows: one error line on stderr and no numpy warning
+    mat = tmp_path / "t.smt"
+    run(capsys, "gen", "ttriw", "2000", "-o", str(mat))
+    code, _, err = run(capsys, "solve", str(mat), "--rhs-ones", "--method", "levinson")
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("error: BreakdownError: Levinson overflow in the solution: ")
+    assert err.count("\n") == 1
+
+
 def test_solve_underdetermined_exit_code(tmp_path, capsys):
     mat = tmp_path / "w.smt"
     rhs = tmp_path / "b.smt"

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from structmat import dft, fast_len, fourier_matrix, idft, next_pow2
+from structmat.dft import forward, inverse
 
-from conftest import dft_direct, random_complex
+from conftest import dft_direct, random_complex, same_bits
 
 
 def test_impulse():
@@ -126,3 +127,21 @@ def test_fourier_matrix_unitary():
     assert np.allclose(f @ f.conj().T, np.eye(5), atol=1e-13)
     with pytest.raises(ValueError):
         fourier_matrix(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 97])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("shape, axis", [((None,), -1), ((None,), 0), ((None, 3), 0),
+                                          ((3, None), -1)])
+def test_transform_pair_is_numpy_fft(n, real, shape, axis):
+    # the pair is rfft/irfft for real data and fft/ifft otherwise, bit for bit
+    rng = np.random.default_rng(n)
+    shape = tuple(n if k is None else k for k in shape)
+    x = rng.standard_normal(shape) if real else random_complex(rng, *shape)
+    X = forward(x, n, real, axis)
+    want = (np.fft.rfft if real else np.fft.fft)(x, n=n, axis=axis)
+    assert same_bits(X, want)
+    back = inverse(X, n, real, axis)
+    want = (np.fft.irfft if real else np.fft.ifft)(X, n=n, axis=axis)
+    assert same_bits(back, want)
+    assert np.max(np.abs(back - x)) <= 1e-13 * np.max(np.abs(x))

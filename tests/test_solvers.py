@@ -30,7 +30,7 @@ from structmat import (
     toep_lstsq,
 )
 
-from structmat._structured import spectral_apply
+from structmat.dft import spectral_apply
 
 from conftest import dense_toeplitz, random_complex, rel_err, same_bits
 
@@ -90,6 +90,17 @@ def test_levinson_certificate_rejects_ill_conditioned_systems():
             with pytest.raises(BreakdownError, match=r"^Levinson backward error \S+ exceeds "
                                r"1e-12: ill-conditioned system; disable the internal solver"):
                 levinson_solve(T, b)
+
+
+@pytest.mark.parametrize("n", [527, 1100])
+def test_levinson_overflow_raises_a_typed_error(n):
+    # ttriw's inverse grows like 2^n: from n = 527 the Gohberg-Semencul
+    # products overflow, and near n = 1030 the order steps too.  Tier 1 turns
+    # any numpy warning into an error, so this also checks that none leaks.
+    T = smtgallery("ttriw", n)
+    with pytest.raises(BreakdownError, match=r"^Levinson overflow in the solution: "
+                       r"ill-conditioned system; disable the internal solver"):
+        levinson_solve(T, T @ np.ones(n))
 
 
 LEAF = solvers.LEVINSON_LEAF

@@ -46,7 +46,8 @@ def test_no_numpy2_only_names():
 
 def test_ffts_are_called_through_the_numpy_fft_module():
     # every transform is looked up as np.fft.<name> when it runs, so a
-    # wrapper installed on numpy.fft (a profiler, a counter) sees all of them
+    # wrapper installed on numpy.fft (a profiler, a counter) sees all of them;
+    # dft.py is the one module that names np.fft, and the others call its pair
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree)
@@ -65,3 +66,4 @@ def test_ffts_are_called_through_the_numpy_fft_module():
                 assert isinstance(parent, ast.Attribute) and parent.value is node, (
                     f"{where} uses np.fft other than as np.fft.<name>"
                 )
+                assert path.name == "dft.py", f"{where} names np.fft outside dft.py"

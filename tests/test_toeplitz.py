@@ -11,7 +11,7 @@ from structmat import (
     config_set,
 )
 
-from structmat._structured import spectral_apply, spectrum_of
+from structmat.dft import spectral_apply, spectrum_of
 
 from conftest import dense_toeplitz, random_complex, rel_err, same_bits
 

@@ -10,8 +10,10 @@ into a test failure.  Nothing under perfbench/ is edited by the test.
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from structmat import Circulant, Toeplitz, cli, solvers
+from structmat import (Circulant, Toeplitz, cli, fast_len, preconditioners, smtgallery,
+                       solvers, strang)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,3 +39,61 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert all(owner.__dict__[attr] is b for (owner, attr), b in zip(watched, before))
     names = {span[tracing.NAME] for span in tracer.spans}
     assert {"fft", "toeplitz.build", "toeplitz.matvec"} <= names
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    return tracing
+
+
+def fft_lengths_under(tracing, name, call):
+    """Run `call` with the tracer installed; the lengths of the fft spans
+    nested anywhere under a span called `name`, in call order."""
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        call()
+    finally:
+        tracer.uninstall()
+    spans, lengths = tracer.spans, []
+    for span in spans:
+        i = span[tracing.PARENT]
+        while i >= 0 and spans[i][tracing.NAME] != name:
+            i = spans[i][tracing.PARENT]
+        if span[tracing.NAME] == "fft" and i >= 0:
+            lengths.append(span[tracing.INFO][0])
+    return lengths
+
+
+def test_tracer_sees_every_transform(tracing):
+    # the tracer replaces the functions on numpy.fft, so it sees a transform
+    # only if the package looks it up there as it runs, not at import.  The
+    # traced entry points are called through their modules, which it patches.
+    # A product or a solve is one forward and one inverse transform: real
+    # data takes rfft and irfft, complex data fft and ifft.
+    rng = np.random.default_rng(5)
+    for T in (Toeplitz([2.0, 1.0, 0.5]), Toeplitz([2.0, 1.0j, 0.5])):
+        assert fft_lengths_under(tracing, "toeplitz.matvec", lambda: T @ np.ones(3)) == [8, 8]
+    C = Circulant([4.0, 1.0, 0.5, 0.25])
+    for b in (np.ones(4), 1j * np.ones(4)):
+        assert fft_lengths_under(tracing, "circulant.solve", lambda: C.solve(b)) == [4, 4]
+    A = smtgallery("tkms", 16)
+    assert fft_lengths_under(tracing, "preconditioners.superoptimal",
+                             lambda: preconditioners.smtcprec("superoptimal", A))
+
+    n = 2 * solvers.LEVINSON_LEAF + 8  # the order steps merge by FFT
+    t = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
+    t[n - 1] += 4.0 * np.sqrt(n)
+    T = Toeplitz.from_diagonals(t, n, n)
+    lengths = fft_lengths_under(tracing, "solvers.levinson",
+                                lambda: solvers.levinson_solve(T, np.ones(n)))
+    assert fast_len(2 * n - 1) in lengths  # Gohberg-Semencul
+    assert min(lengths) <= fast_len(n)  # the merges
+
+    banded = smtgallery("ttridiag", 64, d=4.0)  # T - strang(T): two 1-by-1 corners
+    M = strang(banded)
+    lengths = fft_lengths_under(tracing, "solvers.pcg",
+                                lambda: solvers.pcg_solve(banded, np.ones(64), M))
+    assert set(lengths) == {64, fast_len(1)}  # the division by M and the corners
