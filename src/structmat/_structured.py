@@ -3,8 +3,10 @@
 Circulant and Toeplitz values each store one short vector of entries in
 `_data` (`col` or `t`) and a spectrum in `_spec` (`ev` or `cev`).
 `Structured` writes their common behaviour once: the operator dunders,
-transposes and entrywise maps, and indexing.  The spectrum is the
-full-length DFT, whose transforms and products live in dft.py.
+transposes and entrywise maps, and indexing, which follows numpy's rules
+on each axis (rows index np.arange(m) and columns np.arange(n)).  The
+spectrum is the full-length DFT, whose transforms and products live in
+dft.py.
 
 A derived value carries the spectrum of its operands where a cheap exact
 rule gives it, and recomputes it otherwise:
@@ -275,54 +277,30 @@ class Structured:
     def __getitem__(self, key):
         """Submatrix extraction with structure-aware result types.
 
-        A[i, j] is a scalar; contiguous slice pairs keep the structure (see
-        each class's `_block`); anything else densifies.
+        Rows and columns select as they would from np.arange(m) and
+        np.arange(n).  A[i, j] is a scalar; a pair of unit-step slices keeps
+        the structure (see each class's `_block`); anything else densifies,
+        to 1-d when one side is an integer.
         """
         if not (isinstance(key, tuple) and len(key) == 2):
             raise TypeError("indexing requires a (rows, cols) pair")
-        rows, cols = key
-        m, n = self.shape
-        if isinstance(rows, (int, np.integer)) and isinstance(cols, (int, np.integer)):
-            return self._entries(_norm_index(rows, m) - _norm_index(cols, n))
-        if _is_unit_slice(rows) and _is_unit_slice(cols):
-            r0, r1 = _slice_bounds(rows, m)
-            c0, c1 = _slice_bounds(cols, n)
-            if r0 == r1 or c0 == c1:
-                return np.empty((r1 - r0, c1 - c0), dtype=self.dtype)
-            t = self._entries(np.arange(r0 - (c1 - 1), r1 - c0))
-            return self._block(t, r1 - r0, c1 - c0)
-        r_idx = _as_index_array(rows, m)
-        c_idx = _as_index_array(cols, n)
-        sub = self._entries(r_idx[:, None] - c_idx[None, :])
-        if isinstance(rows, (int, np.integer)) or isinstance(cols, (int, np.integer)):
-            return sub.reshape(-1)
-        return sub
+        r, c = (_positions(k, dim) for k, dim in zip(key, self.shape))
+        unit = all(isinstance(k, slice) and k.step in (None, 1) for k in key)
+        if unit and r.size and c.size:
+            t = self._entries(np.arange(r[0] - c[-1], r[-1] - c[0] + 1))
+            return self._block(t, r.size, c.size)
+        return self._entries(np.subtract.outer(r, c))
 
 
-def _norm_index(i, dim):
-    i = int(i)
-    if i < 0:
-        i += dim
-    if not 0 <= i < dim:
-        raise IndexError(f"index {i} out of range for dimension {dim}")
-    return i
-
-
-def _is_unit_slice(s):
-    return isinstance(s, slice) and (s.step is None or s.step == 1)
-
-
-def _slice_bounds(s, dim):
-    start, stop, _ = s.indices(dim)
-    return start, max(start, stop)
-
-
-def _as_index_array(spec, dim):
-    if isinstance(spec, (int, np.integer)):
-        return np.array([_norm_index(spec, dim)])
-    if isinstance(spec, slice):
-        return np.arange(*spec.indices(dim))
-    idx = np.asarray(spec)
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise TypeError(f"invalid index specification {spec!r}")
-    return np.array([_norm_index(i, dim) for i in idx])
+def _positions(key, dim):
+    """np.arange(dim)[key] for an integer, a slice or a 1-d integer index."""
+    if not isinstance(key, slice):
+        try:
+            key = operator.index(key)
+        except TypeError:
+            # numpy reads [] as an empty integer index, np.asarray as float
+            idx = np.empty(0, int) if isinstance(key, list) and not key else np.asarray(key)
+            if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+                raise TypeError(f"invalid index specification {key!r}") from None
+            key = idx
+    return np.arange(dim)[key]

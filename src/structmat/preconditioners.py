@@ -27,9 +27,6 @@ from .toeplitz import Toeplitz
 
 __all__ = ["strang", "optimal", "superoptimal", "smtcprec", "register_preconditioner"]
 
-# Relative cutoff under which superoptimal refuses to divide by ev(optimal(A)).
-ZERO_EIGENVALUE_RTOL = 1e-13
-
 
 def _require_square(shape, who):
     if shape[0] != shape[1]:
@@ -98,13 +95,13 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
     if isinstance(A, (Toeplitz, Circulant)):
         _require_square(A.shape, "the superoptimal")
     P = optimal(A)
-    a = P.ev
-    amax = np.abs(a).max()
-    if np.abs(a).min() <= ZERO_EIGENVALUE_RTOL * amax:
+    try:
+        P._check_nonsingular()
+    except SingularMatrixError as err:
         raise SingularMatrixError(
             "superoptimal undefined: the optimal preconditioner of the input "
             "has (numerically) zero eigenvalues"
-        )
+        ) from err
     if isinstance(A, Circulant):
         return P  # a circulant is its own superoptimal preconditioner
     if isinstance(A, Toeplitz):
@@ -114,7 +111,7 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
         A = np.asarray(A)
         b = optimal(A @ A.conj().T).ev
         real = not np.iscomplexobj(A)
-    return Circulant._from_spectrum(b / np.conj(a), real)
+    return Circulant._from_spectrum(b / np.conj(P.ev), real)
 
 
 def _gram_projection_ev(T: Toeplitz) -> np.ndarray:

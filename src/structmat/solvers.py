@@ -333,7 +333,7 @@ def _gs_solve(f, w, size, real):
     return solve
 
 
-def toep_lstsq(T: Toeplitz, b, rtol: float = LSTSQ_RTOL) -> np.ndarray:
+def toep_lstsq(T: Toeplitz, b) -> np.ndarray:
     """Least-squares solution of a strictly overdetermined Toeplitz system.
 
     Below LSTSQ_DENSE_CUTOFF columns a dense Householder QR is used; above
@@ -358,7 +358,7 @@ def toep_lstsq(T: Toeplitz, b, rtol: float = LSTSQ_RTOL) -> np.ndarray:
                 f"{1 / LSTSQ_RDIAG_RTOL:.0e}"
             )
         return np.linalg.solve(r, q.conj().T @ bv)
-    return _cgls(T, bv, rtol)
+    return _cgls(T, bv, LSTSQ_RTOL)
 
 
 def _solver_size(T: Toeplitz) -> int:

@@ -270,6 +270,34 @@ def test_pcg_checks_its_preconditioner_as_solve_does(monkeypatch):
         assert same_bits(z, M.solve(r))
 
 
+def test_pcg_split_path_divisions_equal_solve(monkeypatch):
+    # gaussian 400 with p = 0.5 has Strang corners of width 38 <= n/4, so
+    # PCG takes the corner-split path; its divisions too are M.solve's
+    T = smtgallery("gaussian", 400, p=0.5)
+    M = strang(T)
+    splits, divisions = [], []
+    split_of = solvers._corner_split
+
+    def corner_split(*args):
+        splits.append(split_of(*args))
+        return splits[-1]
+
+    def recording(spec, arr, rows, real, divide=False):
+        out = spectral_apply(spec, arr, rows, real, divide)
+        if divide:
+            divisions.append((arr.copy(), out))
+        return out
+
+    monkeypatch.setattr(solvers, "_corner_split", corner_split)
+    monkeypatch.setattr(solvers, "spectral_apply", recording)
+    _, report = pcg_solve(T, T @ np.ones(400), M=M, tol=1e-10)
+    assert report.flag is SolveFlag.CONVERGED
+    assert len(splits) == 1 and splits[0] is not None
+    assert len(divisions) == report.iterations
+    for r, z in divisions:
+        assert same_bits(z, M.solve(r))
+
+
 def test_pcg_validation_and_operator_forms():
     b = np.ones(4)
     A = Circulant([4.0, 1.0, 0.0, 1.0])

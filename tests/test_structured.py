@@ -89,3 +89,50 @@ def test_cyclic_reverse_is_the_reversal_gather(n):
     rng = np.random.default_rng(n)
     for v in (rng.standard_normal(n), random_complex(rng, n)):
         assert same_bits(cyclic_reverse(v), v[reversal_index(n)])
+
+
+def _index_grid(dim):
+    return [0, -1, dim - 1, np.int64(2), True, slice(None), slice(1, 3), slice(3, 1),
+            slice(-2, None), slice(None, None, 2), slice(None, None, -1), [0, 2],
+            np.array([1, -1]), np.array([], int), []]
+
+
+def test_indexing_selects_on_each_axis_as_numpy_does():
+    rng = np.random.default_rng(17)
+    values = (Toeplitz.from_diagonals(rng.standard_normal(8), 5, 4),
+              Toeplitz.from_diagonals(random_complex(rng, 9), 4, 6),
+              Circulant(rng.standard_normal(5)))
+    for A in values:
+        F = A.full()
+        for rows in _index_grid(A.shape[0]):
+            for cols in _index_grid(A.shape[1]):
+                # the positions each key selects; numpy would read True as a mask
+                r, c = (np.arange(dim)[int(k) if isinstance(k, bool) else k]
+                        for k, dim in zip((rows, cols), A.shape))
+                want = F[np.ix_(np.ravel(r), np.ravel(c))].reshape(np.shape(r) + np.shape(c))
+                got = A[rows, cols]
+                unit = all(isinstance(k, slice) and k.step is None for k in (rows, cols))
+                if unit and want.size:
+                    assert isinstance(got, (Circulant, Toeplitz)), (A, rows, cols)
+                    assert got is A or isinstance(got, Toeplitz)
+                    assert same_bits(got.full(), want), (A, rows, cols)
+                else:
+                    assert isinstance(got, (np.ndarray, np.generic)), (A, rows, cols)
+                    assert isinstance(got, np.generic) == (want.ndim == 0)
+                    assert same_bits(np.asarray(got), want), (A, rows, cols)
+        # a 0-d integer array is an integer, as in numpy
+        assert same_bits(np.asarray(A[np.array(2), 1]), np.asarray(F[2, 1]))
+
+
+def test_indexing_errors():
+    for A in (Toeplitz.from_diagonals(np.arange(8.0), 5, 4), Circulant(np.arange(5.0))):
+        m, n = A.shape
+        for key in ((m, 0), (-m - 1, 0), (0, n), (0, -n - 1), (m, slice(None)),
+                    (slice(None), [0, n])):
+            with pytest.raises(IndexError):
+                A[key]
+        for key in ((0.5, 0), (0, 0.5), (np.True_, 0), (0, np.True_),
+                    (np.array([[0, 1]]), 0), (slice(None), np.array([[0]])),
+                    0, (0,), (0, 0, 0), [0, 0]):
+            with pytest.raises(TypeError):
+                A[key]
