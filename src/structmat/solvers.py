@@ -12,7 +12,7 @@ user-registered replacements according to the active configuration.
 
 The solvers choose their own transform length.  CGLS and PCG run every
 product with an m-by-n Toeplitz T at _solver_size(T), whatever T's
-embedding policy (PCG's corner split, below, runs none at all): the
+embedding policy (PCG's corner path, below, runs none at all): the
 shortest circulant order that gives T @ x exactly, max(m + u, n + l) for
 T's band of lags -u .. l (see Toeplitz._exact_order), rounded up by
 fast_len to a 2*3*5-smooth length.  For a dense T that order is
@@ -28,15 +28,21 @@ whatever the band, and run at fast_len(2n - 1).  Every transform is a call
 into dft.py, half-length on real data.
 
 PCG with a square Toeplitz T and a circulant preconditioner M of its order
-splits T = M + (T - M) when T - M is zero outside two k-by-k corner
-blocks with 4k <= n: so for the Strang preconditioner of a T of band
-beta <= n/4, where k <= beta.  M p then comes from the CG recurrence,
-since M z = r, and (T - M) p from one batched pair of transforms of
-length fast_len(2k - 1), so an iteration makes one order-n round trip,
-for the division by M, instead of two (see pcg_solve and
-_corner_split).  Any other operator or preconditioner takes the product
-above: the optimal and superoptimal ones, and Strang's of a dense T,
-whose corners are n/2 wide.
+takes the corner path when T - M is zero outside two k-by-k corner blocks
+with 4k <= n and (2k)^2 <= n log2(n): so for the Strang preconditioner of
+a T of band beta (k <= beta) whenever 4 beta <= n and
+beta <= sqrt(n log2(n)) / 2, which is 123 at n = 5000.  Then M^-1 T is
+the identity plus a rank-2k term, and PCG runs in the 2k corner
+coordinates (see _corner_pcg).  An iteration is two dense 2k-by-2k
+products and one batched pair of transforms of length fast_len(2k - 1).
+A restart cycle makes three order-n transform pairs, whatever its
+iterations: a division by M to start, one to form x, and a product with
+M for the true residual.  Each cycle is accurate to about eps cond(M); a
+cycle that misses tol starts the next from the true residual, as
+iterative refinement.  Any other operator or preconditioner takes the
+product above: the optimal and superoptimal ones, Strang's of a dense T,
+whose corners are n/2 wide, and Strang's of a T whose band is too wide
+for the second test.
 """
 
 from __future__ import annotations
@@ -47,10 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._structured import cyclic_reverse
 from ._util import as_vector
 from .circulant import Circulant
 from .config import Config, config_get
-from .dft import fast_len, forward, inverse, spectral_apply, spectrum_of
+from .dft import entries_of, fast_len, forward, inverse, spectral_apply, spectrum_of
 from .errors import (
     BreakdownError,
     DimensionMismatchError,
@@ -424,32 +431,34 @@ def _as_operator(A):
 
 
 def _corner_split(T: Toeplitz, M: Circulant):
-    """The product with D = T - M by two corner blocks, or None.
+    """The corner positions and corner product of D = T - M, or None.
 
     T is square Toeplitz and M circulant, both of order n, so D is Toeplitz
     with diagonal d_l = t_l - c_(l mod n).  Let k be the least width with
     D zero on every lag |l| < n - k.  Then D is the sum of the k-by-k
-    Toeplitz blocks U = D[:k, n-k:] and L = D[n-k:, :k], whose diagonal
-    vectors are d[:2k-1] and d[2n-2k:], and their two products are one
-    batched pair of transforms of length fast_len(2k - 1).  For a T of band
-    beta and its Strang preconditioner, k <= beta.
+    Toeplitz blocks U = D[:k, n-k:] and L = D[n-k:, :k], and D v lives on
+    the 2k corner positions S = (n-k, ..., n-1, 0, ..., k-1), in this
+    cyclic order, and depends only on v[S].  The two block products are
+    one batched pair of transforms of length fast_len(2k - 1).  For a T of
+    band beta and its Strang preconditioner, k <= beta.
 
-    The split is taken when 4k <= n: the corner transforms then take
-    about 4k <= n points together, against at least n + k for T's own
-    product (see _solver_size).  A wider D saves no transform work, and
-    the split only adds its setup and vector updates: for a dense T,
-    k = floor(n/2) under Strang.  Returns add(v, out), which adds D v to
-    `out` and returns it.
+    The split is taken when 4k <= n and (2k)^2 <= n log2(n): PCG on the
+    split then works in the 2k corner coordinates (see _corner_pcg), two
+    dense 2k-by-2k products an iteration, and the second test weighs
+    them against the order-n transform pair that the product path makes
+    per iteration.  For a dense T, k = floor(n/2) under Strang.  Returns
+    (S, corners), where corners(v[S]) = (D v)[S].
     """
     n = M.n
     d = T.t - np.concatenate((M.col[1:], M.col))
     # nonzero runs several times faster on a boolean mask than on floats
     lags = np.flatnonzero(d != 0) - (n - 1)
     k = n - int(np.abs(lags).min()) if lags.size else 0
-    if 4 * k > n:
+    if 4 * k > n or 4 * k * k > n * np.log2(n):
         return None
+    S = np.arange(n - k, n + k) % n
     if k == 0:
-        return lambda v, out: out
+        return S, np.zeros_like
     # each block's diagonal vector, its own lags 1-k .. k-1, in rows
     # 0 .. 2k-2: its product is rows k-1 .. 2k-2 of a convolution that no
     # length from 2k - 1 up wraps
@@ -458,14 +467,23 @@ def _corner_split(T: Toeplitz, M: Circulant):
     spec = spectrum_of(blocks)
     real = not np.iscomplexobj(d)
 
-    def add(v, out):
-        operands = np.array((v[n - k:], v[:k])).T
-        y = spectral_apply(spec, operands, 2 * k - 1, real)[k - 1:]
-        out[:k] += y[:, 0]
-        out[n - k:] += y[:, 1]
-        return out
+    def corners(vs):
+        # columns U v[n-k:] and L v[:k], which land on S[k:] and S[:k]
+        y = spectral_apply(spec, vs.reshape(2, k).T, 2 * k - 1, real)[k - 1:]
+        return y[:, ::-1].ravel(order="F")
 
-    return add
+    return S, corners
+
+
+def _corner_gram(w, m):
+    """Gamma[i, j] = w[(i - j) mod n] for i, j < m: the block of the
+    circulant with first column w on m cyclically consecutive positions,
+    which is Toeplitz, read as windows over its 2m - 1 diagonals."""
+    if m == 0:
+        return np.zeros((0, 0), dtype=w.dtype)
+    # w at lags m-1 .. 1-m: row i is the window that starts at lag i
+    diagonals = w[np.arange(m - 1, -m, -1) % w.shape[0]]
+    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(diagonals, m)[::-1])
 
 
 def pcg_solve(
@@ -485,16 +503,18 @@ def pcg_solve(
     spectral division.  Iteration stops when the recurrence residual
     satisfies ||b - A x|| <= tol * ||b||; the report carries the recomputed
     true relative residual, and the converged flag is only set once the
-    true residual meets the tolerance.
+    true residual meets the tolerance.  If it does not, the iteration
+    restarts from the true residual with p = z, and the iterations of
+    every restart count against `maxit`.
 
-    A Toeplitz operator T whose difference from M lives in two narrow
-    corner blocks (see _corner_split; so for the Strang preconditioner of
-    a banded T) is applied as T p = M p + (T - M) p.  M p comes from the
-    recurrence: M p_0 = b, and p = z + beta p with M z = r gives
-    M p = r + beta M p, recomputed by one product after a restart from
-    the true residual.  So an iteration costs the division by M and one
-    short batched corner product, and T's own spectrum is never built.
-    The true residual is b - (M x + (T - M) x).
+    A Toeplitz operator T whose difference from M lives in two k-by-k
+    corner blocks with 4k <= n and (2k)^2 <= n log2(n) (see _corner_split;
+    so for the Strang preconditioner of a banded T) is solved in the 2k
+    corner coordinates of _corner_pcg: an iteration makes no order-n
+    transform, a restart cycle divides by M once to start and once to
+    form x, and T's own spectrum is never built.  The true residual is
+    b - (M x + (T - M) x).  A cycle is accurate to about eps cond(M), so
+    the restart from the true residual acts as iterative refinement.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -508,7 +528,6 @@ def pcg_solve(
     if bnorm == 0.0:
         return np.zeros_like(bv), SolveReport(0, 0.0, SolveFlag.CONVERGED)
 
-    split = None
     if M is None:
         def precond(v):
             return v
@@ -521,36 +540,20 @@ def pcg_solve(
         def precond(v):
             return spectral_apply(spec, v, rows, real, divide=True)
 
-        def apply_M(v):
-            return spectral_apply(spec, v, rows, real)
-
         if isinstance(apply_A, Toeplitz):
             split = _corner_split(apply_A, M)
+            if split is not None:
+                return _corner_pcg(apply_A, M, bv, bnorm, tol, maxit, split, precond)
 
+    product = _as_operator(apply_A)
     z = precond(bv)
-    dtype = np.result_type(bv, z)
-    if split is None:
-        product = _as_operator(apply_A)
-        p = z.astype(dtype)
-    else:
-        def product(v):
-            return split(v, apply_M(v))
-
-        # p and M p as the rows of one buffer, updated in place
-        dtype = np.result_type(dtype, apply_A.dtype)
-        pm = np.stack((z, bv)).astype(dtype)
-        p, mp = pm
-
-    def true_residual(x):
-        r = bv - product(x)
-        return r, float(np.linalg.norm(r) / bnorm)
-
-    x = np.zeros(bv.shape[0], dtype=dtype)
-    r = bv.astype(dtype)
+    x = np.zeros(bv.shape[0], dtype=np.result_type(bv, z))
+    r = bv.astype(x.dtype)
+    p = z.astype(x.dtype)
     rho = np.vdot(r, z)
     flag = None
     for iterations in range(1, maxit + 1):
-        q = product(p) if split is None else split(p, mp.copy())
+        q = product(p)
         pq = np.vdot(p, q)
         if not np.isfinite(pq) or pq == 0.0:
             flag = SolveFlag.BREAKDOWN
@@ -566,24 +569,109 @@ def pcg_solve(
             break
         restart = rnorm <= tol * bnorm
         if restart:
-            r_true, rel = true_residual(x)
+            r = bv - product(x)
+            rel = float(np.linalg.norm(r) / bnorm)
             if rel <= tol:
                 return x, SolveReport(iterations, rel, SolveFlag.CONVERGED)
-            r = r_true  # recurrence drifted; restart from the true residual
+            # the recurrence drifted: restart from the true residual
         z = precond(r)
         rho_new = np.vdot(r, z)
-        beta = rho_new / rho
-        if split is None:
-            p = z + beta * p
-        else:
-            pm *= beta
-            p += z
-            if restart:
-                mp[:] = apply_M(p)  # no drift carried past a restart
-            else:
-                mp += r
+        p = z if restart else z + (rho_new / rho) * p
         rho = rho_new
-    rel = true_residual(x)[1]
+    rel = float(np.linalg.norm(bv - product(x)) / bnorm)
+    if flag is None:
+        flag = SolveFlag.CONVERGED if rel <= tol else SolveFlag.MAX_ITERATIONS
+    return x, SolveReport(iterations, rel, flag)
+
+
+def _corner_pcg(T, M, bv, bnorm, tol, maxit, split, precond):
+    """PCG for T = M + D, D = T - M living on the 2k corner positions S
+    (see _corner_split), in corner coordinates.
+
+    A cycle starts from an explicit residual r0 (first b) and divides once:
+    g = M^-1 r0.  With E the n-by-2k selection of S, every residual of the
+    cycle is r = a r0 + E c and every direction and iterate increment
+    p = a g + M^-1 E c, for a scalar a and a 2k-vector c, because
+    M^-1 T = I + M^-1 E D_S E^T.  So M p is (a, c) read as a residual,
+    and D p needs only p[S] = a g[S] + Gamma c, Gamma = E^T M^-1 E, a
+    Toeplitz block of M^-1's first column (see _corner_gram).  The inner
+    products reduce to rho0 = <r0, g>, g[S], r0[S], Gamma and
+    h[S] = (M^-H r0)[S], which is g[S] when M is Hermitian (its column its
+    own conjugate cyclic reverse, tested exactly) and else costs one more
+    division; ||r||^2 = |a|^2 ||r0 off S||^2 + ||a r0[S] + c||^2.
+
+    When the recurrence residual meets tol, one division forms x, and the
+    true residual b - (M x + D x) is computed.  A cycle is accurate to
+    about eps cond(M), so when the true residual misses tol, a new cycle
+    starts from it, as a step of iterative refinement.
+    """
+    n = bv.shape[0]
+    S, corners = split
+    m = S.shape[0]
+    k = m // 2
+    spec, real = M.ev, M.isreal
+    hermitian = np.array_equal(M.col, np.conj(cyclic_reverse(M.col)))
+    gamma = _corner_gram(entries_of(1.0 / spec, real), m)
+
+    def product(v):
+        out = spectral_apply(spec, v, n, real)
+        out[S] += corners(v[S])
+        return out
+
+    g = precond(bv)
+    dtype = np.result_type(bv, g, T.dtype)
+    r0 = bv.astype(dtype)
+    x = None
+    iterations = 0
+    while True:
+        rho0 = np.vdot(r0, g)
+        g_S, r0_S = g[S], r0[S]
+        h_S = g_S if hermitian else spectral_apply(np.conj(spec), r0, n, real, divide=True)[S]
+        off = r0[k: n - k]
+        off2 = np.vdot(off, off).real
+        a_r = a_p = 1.0
+        a_x = 0.0
+        c_r, c_p, c_x = np.zeros((3, m), dtype=dtype)
+        rho = rho0
+        flag = None
+        while iterations < maxit:
+            iterations += 1
+            p_S = a_p * g_S + gamma @ c_p
+            c_q = c_p + corners(p_S)  # M p + D p as a residual
+            pq = a_p * (np.conj(a_p * rho0) + np.vdot(c_p, h_S)) + np.vdot(p_S, c_q)
+            if not np.isfinite(pq) or pq == 0.0:
+                flag = SolveFlag.BREAKDOWN
+                break
+            alpha = rho / pq
+            a_x = a_x + alpha * a_p
+            c_x = c_x + alpha * c_p
+            a_r = a_r - alpha * a_p
+            c_r = c_r - alpha * c_q
+            r_S = a_r * r0_S + c_r
+            rnorm = np.sqrt(abs(a_r) ** 2 * off2 + np.vdot(r_S, r_S).real)
+            # a non-finite entry makes the norm non-finite, but an overflowing
+            # norm alone is no breakdown
+            if not np.isfinite(rnorm) and not (
+                    np.all(np.isfinite(r_S)) and np.all(np.isfinite(a_r * off))):
+                flag = SolveFlag.BREAKDOWN
+                break
+            if rnorm <= tol * bnorm:
+                break
+            z_S = a_r * g_S + gamma @ c_r
+            rho_new = np.conj(a_r) * (a_r * rho0 + np.vdot(h_S, c_r)) + np.vdot(c_r, z_S)
+            beta = rho_new / rho
+            a_p = a_r + beta * a_p
+            c_p = c_r + beta * c_p
+            rho = rho_new
+        v = a_x * r0
+        v[S] += c_x
+        dx = precond(v)
+        x = dx if x is None else x + dx
+        r0 = bv - product(x)
+        rel = float(np.linalg.norm(r0) / bnorm)
+        if flag is not None or rel <= tol or iterations == maxit:
+            break
+        g = precond(r0)
     if flag is None:
         flag = SolveFlag.CONVERGED if rel <= tol else SolveFlag.MAX_ITERATIONS
     return x, SolveReport(iterations, rel, flag)

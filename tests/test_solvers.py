@@ -271,9 +271,10 @@ def test_pcg_checks_its_preconditioner_as_solve_does(monkeypatch):
 
 
 def test_pcg_split_path_divisions_equal_solve(monkeypatch):
-    # gaussian 400 with p = 0.5 has Strang corners of width 38 <= n/4, so
-    # PCG takes the corner-split path; its divisions too are M.solve's
-    T = smtgallery("gaussian", 400, p=0.5)
+    # gaussian 1000 with p = 0.5 has Strang corners of width 38, and
+    # 4 * 38^2 <= 1000 log2(1000), so PCG takes the corner path; its
+    # divisions too are M.solve's: one per cycle, and one to form x
+    T = smtgallery("gaussian", 1000, p=0.5)
     M = strang(T)
     splits, divisions = [], []
     split_of = solvers._corner_split
@@ -290,10 +291,10 @@ def test_pcg_split_path_divisions_equal_solve(monkeypatch):
 
     monkeypatch.setattr(solvers, "_corner_split", corner_split)
     monkeypatch.setattr(solvers, "spectral_apply", recording)
-    _, report = pcg_solve(T, T @ np.ones(400), M=M, tol=1e-10)
-    assert report.flag is SolveFlag.CONVERGED
-    assert len(splits) == 1 and splits[0] is not None
-    assert len(divisions) == report.iterations
+    _, report = pcg_solve(T, T @ np.ones(1000), M=M, tol=1e-10)
+    assert report.flag is SolveFlag.CONVERGED and report.iterations > 2
+    assert len(splits) == 1 and splits[0] is not None and splits[0][0].size == 76
+    assert len(divisions) == 2
     for r, z in divisions:
         assert same_bits(z, M.solve(r))
 
@@ -709,6 +710,19 @@ def test_pcg_matches_dense_solve(n, policy, complex_entries):
 # -- PCG's corner split: T p = M p + (T - M) p --------------------------------
 
 
+def split_product(split, Mv, v):
+    """M v + (T - M) v from M v and the corner split of T - M."""
+    S, corners = split
+    out = Mv.copy()
+    out[S] += corners(v[S])
+    return out
+
+
+def corner_path(n, k):
+    """Whether PCG takes the corner path for corners of width k at order n."""
+    return 4 * k <= n and (2 * k) ** 2 <= n * np.log2(n)
+
+
 def _strang_cases(policy, band):
     """Toeplitz matrices with lags -band .. band, real symmetric, real
     nonsymmetric and complex non-Hermitian, at odd and even orders."""
@@ -732,15 +746,16 @@ def test_corner_split_matches_dense_product(policy, band):
     for T in _strang_cases(policy, band):
         n = T.shape[0]
         M = strang(T)
-        add = solvers._corner_split(T, M)
+        split = solvers._corner_split(T, M)
         A = T.full()
         i, j = np.nonzero(A - M.full())
         k = n - np.abs(i - j).min() if i.size else 0  # D is zero on |l| < n - k
-        assert (add is None) == (4 * k > n), (n, band)
-        if add is None:
+        assert (split is not None) == corner_path(n, k), (n, band)
+        if split is None:
             continue
+        assert np.array_equal(split[0], np.r_[n - k: n, :k])
         for p in (rng.standard_normal(n), random_complex(rng, n)):
-            got = add(p, (M @ p).astype(complex))
+            got = split_product(split, (M @ p).astype(complex), p)
             assert rel_err(got, A @ p) <= 1e-14, (n, T.dtype, p.dtype)
 
 
@@ -756,19 +771,22 @@ def test_corner_split_is_decided_by_the_data():
     # any circulant qualifies that T differs from only near the corners
     C = Circulant(rng.standard_normal(64))
     p = rng.standard_normal(64)
-    for lags, splits in (([-63, 50], True), ([-60, 61], True), ([], True), ([40], False)):
+    # (k = 14 fails 4k^2 <= 64 log2(64) = 384; k = 7 passes it)
+    for lags, splits in (([-63, 57], True), ([-63, 50], False), ([-60, 61], True),
+                         ([], True), ([40], False)):
         t = C.to_toeplitz().t.copy()
         t[np.add(lags, 63).astype(int)] += 1.0
         U = Toeplitz.from_diagonals(t, 64, 64)
-        add = solvers._corner_split(U, C)
-        assert (add is not None) == splits
+        split = solvers._corner_split(U, C)
+        assert (split is not None) == splits
         if splits:
-            assert rel_err(add(p, C @ p), U.full() @ p) <= 1e-14
+            assert rel_err(split_product(split, C @ p, p), U.full() @ p) <= 1e-14
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("T, splits", [
-    (lambda pol: _gallery("gaussian", 300, pol, p=0.5), True),  # zero beyond lag 38
+    # zero beyond lag 38: 4 * 38^2 > 300 log2(300), so the product path
+    (lambda pol: _gallery("gaussian", 300, pol, p=0.5), False),
     # the default ttridiag's Strang preconditioner is singular
     (lambda pol: _gallery("ttridiag", 150, pol, d=4.0), True),
     (lambda pol: _gallery("ttoeppen", 151, pol, a=1.0, b=-4.0, c=8.0, d=-4.0, e=1.0), True),
@@ -806,7 +824,7 @@ def test_split_pcg_never_transforms_at_the_solver_length(fft_lengths, policy):
 
 def test_split_pcg_restart_reports_the_true_residual(monkeypatch):
     # tol below attainable accuracy: the recurrence residual passes it while
-    # the true one stalls near 1e-15, so the loop restarts from the true one
+    # the true one stalls near 1e-15, so new cycles start from the true one
     T = smtgallery("ttridiag", 64, d=4.0)
     M = strang(T)
     b = np.random.default_rng(3).standard_normal(64)
@@ -819,12 +837,231 @@ def test_split_pcg_restart_reports_the_true_residual(monkeypatch):
 
     monkeypatch.setattr(solvers, "spectral_apply", recording)
     x, report = pcg_solve(T, b, M=M, tol=1e-16, maxit=60)
-    assert report.flag is SolveFlag.MAX_ITERATIONS
-    # a restart takes M x for the true residual, divides, and recomputes M p
+    assert report.flag is SolveFlag.MAX_ITERATIONS and report.iterations == 60
+    # a cycle divides once for g = M^-1 r0 and once to form x, then takes
+    # M x for the true residual; there is no other order-n transform
     trail = "".join(events)
-    assert re.fullmatch(r"d(d|mdm)*m", trail) and "mdm" in trail
+    assert re.fullmatch(r"(ddm)+", trail) and len(trail) >= 6
     monkeypatch.undo()
-    r = b - solvers._corner_split(T, M)(x, M @ x)
+    r = b - split_product(solvers._corner_split(T, M), M @ x, x)
     assert report.relative_residual == np.linalg.norm(r) / np.linalg.norm(b)
     dense = np.linalg.norm(b - T.full() @ x) / np.linalg.norm(b)
     assert abs(report.relative_residual - dense) <= 1e-15
+
+
+# -- PCG in the corner coordinates --------------------------------------------
+
+
+def dense_pcg(A, M, b, iterations):
+    """The PCG loop of pcg_solve on dense matrices, without a stopping test."""
+    Minv = np.linalg.inv(M)
+    x = np.zeros(b.shape[0], dtype=np.result_type(A, Minv, b))
+    r = b.astype(x.dtype)
+    z = Minv @ r
+    p, rho = z, np.vdot(r, z)
+    for _ in range(iterations):
+        q = A @ p
+        alpha = rho / np.vdot(p, q)
+        x = x + alpha * p
+        r = r - alpha * q
+        z = Minv @ r
+        rho, rho_old = np.vdot(r, z), rho
+        p = z + (rho / rho_old) * p
+    return x
+
+
+def banded_residual(T, x, b, k):
+    """||b - T x|| / ||b|| for a T with lags -k .. k, by direct convolution."""
+    n = T.shape[0]
+    Tx = np.convolve(x, T.t[n - 1 - k: n + k])[k: n + k]
+    return np.linalg.norm(b - Tx) / np.linalg.norm(b)
+
+
+def _band_hpd(rng, n, k, complex_entries, policy):
+    """Hermitian positive definite Toeplitz of lags -k .. k, t_k != 0."""
+    col = np.zeros(n, dtype=complex if complex_entries else float)
+    col[1: k + 1] = random_complex(rng, k) if complex_entries else rng.standard_normal(k)
+    col[0] = 2.0 * np.abs(col).sum() + 1.0  # diagonal dominance
+    return Toeplitz(col, config=Config(embedding=policy))
+
+
+def _corner_cases(n, policy):
+    """(T, M) pairs whose T - M is two k-by-k corners with 4k <= n: real
+    symmetric and complex Hermitian bands with M = strang(T), and a
+    non-Hermitian complex circulant M with T = M plus corner entries."""
+    rng = np.random.default_rng(n)
+    cases = []
+    for complex_entries in (False, True):
+        T = _band_hpd(rng, n, 3, complex_entries, policy)
+        cases.append((T, strang(T)))
+    col = random_complex(rng, n) / (1.0 + np.arange(n))
+    col[0] = 2.0 * np.abs(col).sum()
+    M = Circulant(col)
+    t = M.to_toeplitz().t.copy()
+    t[[0, 1, 2 * n - 3, 2 * n - 2]] += random_complex(rng, 4)  # lags +-(n-1), +-(n-2)
+    cases.append((Toeplitz.from_diagonals(t, n, n, config=Config(embedding=policy)), M))
+    return cases
+
+
+# 64 even, 81 odd, 97 prime
+@pytest.mark.parametrize("n", [64, 81, 97])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_corner_pcg_follows_dense_pcg(n, policy, monkeypatch):
+    divisions = []
+
+    def recording(spec, arr, rows, real, divide=False):
+        divisions.append(divide)
+        return spectral_apply(spec, arr, rows, real, divide)
+
+    for (T, M), hermitian in zip(_corner_cases(n, policy), (True, True, False)):
+        A, Md = T.full(), M.full()
+        assert np.array_equal(M.col, np.conj(M.col[-np.arange(n)])) == hermitian
+        assert solvers._corner_split(T, M) is not None
+        b = random_complex(np.random.default_rng(n + 1), n)
+        # iterates: the same PCG in other coordinates, one cycle (tol is
+        # out of reach); a non-Hermitian M takes one more division
+        divisions.clear()
+        monkeypatch.setattr(solvers, "spectral_apply", recording)
+        x, report = pcg_solve(T, b, M=M, tol=1e-300, maxit=4)
+        monkeypatch.undo()
+        assert report.flag is SolveFlag.MAX_ITERATIONS and report.iterations == 4
+        assert divisions.count(True) == (2 if hermitian else 3)
+        assert rel_err(x, dense_pcg(A, Md, b, 4)) <= 1e-10
+        dense = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        assert abs(report.relative_residual - dense) <= 1e-14
+        if not hermitian:
+            continue  # PCG need not converge on a non-Hermitian T
+        # the solution, and the true residual against the dense one
+        x, report = pcg_solve(T, b, M=M, tol=1e-12, maxit=10 * n)
+        assert report.flag is SolveFlag.CONVERGED
+        assert rel_err(x, np.linalg.solve(A, b)) <= 1e-9
+        dense = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        assert dense <= 1e-12 and abs(report.relative_residual - dense) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 81, 97])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_corner_pcg_without_corners(n, policy, complex_entries):
+    # T is the Toeplitz matrix of a circulant M, so T - M = 0 (k = 0)
+    rng = np.random.default_rng(n)
+    col = random_complex(rng, n) if complex_entries else rng.standard_normal(n)
+    col = col + np.conj(col[-np.arange(n)])  # Hermitian
+    col[0] = 2.0 * np.abs(col).sum() + 1.0
+    M = Circulant(col)
+    T = Toeplitz.from_diagonals(M.to_toeplitz().t, n, n, config=Config(embedding=policy))
+    assert solvers._corner_split(T, M)[0].size == 0
+    b = random_complex(rng, n)
+    x, report = pcg_solve(T, b, M=M, tol=1e-12)
+    assert report.flag is SolveFlag.CONVERGED and report.iterations == 1
+    A = T.full()
+    assert rel_err(x, np.linalg.solve(A, b)) <= 1e-13
+    assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
+
+
+def test_corner_pcg_breakdown_on_zero_curvature():
+    # T = I - (e_0 e_7^T + e_7 e_0^T) and M = I: p* T p = 0 at iteration 1
+    t = np.zeros(15)
+    t[7], t[0], t[14] = 1.0, -1.0, -1.0
+    T = Toeplitz.from_diagonals(t, 8, 8)
+    M = Circulant(np.eye(8)[0])
+    assert solvers._corner_split(T, M)[0].size == 2
+    b = np.eye(8)[0] + np.eye(8)[7]
+    x, report = pcg_solve(T, b, M=M)
+    assert report.flag is SolveFlag.BREAKDOWN and report.iterations == 1
+    assert np.array_equal(x, np.zeros(8)) and report.relative_residual == 1.0
+
+
+def test_corner_pcg_refines_in_a_second_cycle(monkeypatch):
+    # cond(M) is near 3e10, so a cycle is accurate to about 3e-6 and a b
+    # outside T's smooth range needs a second cycle from the true residual
+    T = smtgallery("gaussian", 5000)
+    M = strang(T)
+    b = np.random.default_rng(0).standard_normal(5000)
+    divisions = []
+
+    def recording(spec, arr, rows, real, divide=False):
+        if divide:
+            divisions.append(arr)
+        return spectral_apply(spec, arr, rows, real, divide)
+
+    monkeypatch.setattr(solvers, "spectral_apply", recording)
+    x, report = pcg_solve(T, b, M=M, tol=1e-6, maxit=100)
+    assert report.flag is SolveFlag.CONVERGED
+    assert len(divisions) == 4  # two cycles, each g and x
+    k = solvers._corner_split(T, M)[0].size // 2
+    assert k == 86 and np.all(T.t[: 5000 - 1 - k] == 0.0)
+    assert banded_residual(T, x, b, k) <= 1e-6
+
+
+@pytest.mark.parametrize("n, k, corners", [
+    (1000, 49, True),  # (2k)^2 = 9604 <= 1000 log2(1000) = 9966
+    (1000, 50, False),  # 10000 > 9966
+    (2000, 86, False),  # 29584 > 21932
+    (3000, 61, True),  # 14884 <= 34652
+])
+def test_corner_path_selection(n, k, corners, monkeypatch):
+    T = _band_hpd(np.random.default_rng(k), n, k, False, EmbeddingPolicy.POW2)
+    M = strang(T)
+    assert (solvers._corner_split(T, M) is not None) == corners
+    taken = []
+    corner_pcg = solvers._corner_pcg
+
+    def spy(*args):
+        taken.append(True)
+        return corner_pcg(*args)
+
+    monkeypatch.setattr(solvers, "_corner_pcg", spy)
+    b = np.random.default_rng(n).standard_normal(n)
+    x, report = pcg_solve(T, b, M=M, tol=1e-10)
+    assert bool(taken) == corners
+    assert report.flag is SolveFlag.CONVERGED
+    assert banded_residual(T, x, b, k) <= 1e-10
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_corner_pcg_transform_count_is_fixed(fft_lengths, policy):
+    # Hermitian, lags -10 .. 10, n = 131: 7 order-n transforms per
+    # one-cycle solve (g, M^-1's column, x and M x), whatever the iterations
+    H = _band_hpd(np.random.default_rng(7), 131, 10, True, policy)
+    M = strang(H)
+    counts = []
+    for tol in (1e-3, 1e-12):
+        fft_lengths.clear()
+        _, report = pcg_solve(H, np.ones(131), M=M, tol=tol)
+        assert report.flag is SolveFlag.CONVERGED
+        lengths = [n for _, n in fft_lengths]
+        assert lengths.count(131) == 7
+        assert set(lengths) == {131, fast_len(19)}
+        assert solvers._solver_size(H) not in lengths
+        counts.append(report.iterations)
+    assert counts[0] < counts[1]
+
+
+def test_pcg_restart_resets_the_search_direction():
+    # gaussian 700's Strang corners (k = 86) take the product path, which
+    # restarts once from the true residual here and must then take p = z
+    T = smtgallery("gaussian", 700, p=0.1)
+    M = strang(T)
+    assert solvers._corner_split(T, M) is None
+    b = np.random.default_rng(0).standard_normal(700)
+    x, report = pcg_solve(T, b, M=M, tol=1e-6)
+    assert report.flag is SolveFlag.CONVERGED and report.iterations < 100
+    assert np.linalg.norm(b - T.full() @ x) / np.linalg.norm(b) <= 1e-6
+    # after a restart the next direction is z = r itself (M = None): the
+    # product after a true residual is taken with bv - A x
+    rng = np.random.default_rng(41)
+    A = smtgallery("tkms", 8, rho=0.5).full()
+    b = rng.standard_normal(8)
+    calls = []
+
+    def apply(v):
+        out = (A @ v).astype(np.float32).astype(np.float64)
+        calls.append((v.copy(), out))
+        return out
+
+    pcg_solve(apply, b, tol=1e-12, maxit=40)
+    assert len(calls) > 41
+    restarts = [i for i in range(len(calls) - 1)
+                if np.array_equal(calls[i + 1][0], b - calls[i][1])]
+    assert restarts
