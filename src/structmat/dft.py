@@ -87,7 +87,6 @@ def entries_of(spec, real):
 def spectral_apply(spec, arr, rows, real, divide=False):
     """Multiply (or, with `divide`, solve) along axis 0 of `arr` by the
     circulant whose eigenvalues are `spec`, keeping the first `rows` rows.
-    A 2-d `spec` holds one spectrum per column of a 2-d `arr`.
 
     `arr` is zero-padded to N = len(spec), so an embedded Toeplitz product
     and a plain circulant product are the same two transforms.  `real` says

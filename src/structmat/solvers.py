@@ -27,22 +27,27 @@ Levinson's Gohberg-Semencul products are convolutions of length 2n - 1
 whatever the band, and run at fast_len(2n - 1).  Every transform is a call
 into dft.py, half-length on real data.
 
-PCG with a square Toeplitz T and a circulant preconditioner M of its order
-takes the corner path when T - M is zero outside two k-by-k corner blocks
-with 4k <= n and (2k)^2 <= n log2(n): so for the Strang preconditioner of
-a T of band beta (k <= beta) whenever 4 beta <= n and
-beta <= sqrt(n log2(n)) / 2, which is 123 at n = 5000.  Then M^-1 T is
-the identity plus a rank-2k term, and PCG runs in the 2k corner
-coordinates (see _corner_pcg).  An iteration is two dense 2k-by-2k
-products and one batched pair of transforms of length fast_len(2k - 1).
-A restart cycle makes three order-n transform pairs, whatever its
-iterations: a division by M to start, one to form x, and a product with
-M for the true residual.  Each cycle is accurate to about eps cond(M); a
-cycle that misses tol starts the next from the true residual, as
-iterative refinement.  Any other operator or preconditioner takes the
-product above: the optimal and superoptimal ones, Strang's of a dense T,
-whose corners are n/2 wide, and Strang's of a T whose band is too wide
-for the second test.
+PCG has one iteration loop, _pcg_cycle, which runs from zero on a
+residual.  pcg_solve calls it in refinement cycles: x += dx, then the true
+residual b - A x starts the next cycle, until it meets tol, on breakdown,
+or when maxit iterations over all cycles are spent.  Two paths feed the
+loop.  The product path hands it n-vectors and the product above.  With a
+square Toeplitz T and a circulant preconditioner M of its order, PCG takes
+the corner path when T - M is zero outside two k-by-k corner blocks with
+4k <= n and (2k)^2 <= n log2(n): so for the Strang preconditioner of a T
+of band beta (k <= beta) whenever 4 beta <= n and
+beta <= sqrt(n log2(n)) / 2, which is 123 at n = 5000.  Then M^-1 T is the
+identity plus a rank-2k term, and the loop runs in the 2k corner
+coordinates (see _corner_path).  An iteration is two dense 2k-by-2k
+products: one with a block of M^-1 and one with the block D_S of T - M on
+the corners (see _corner_split).  A cycle makes three order-n transform
+pairs, whatever its iterations: a division by M to start, one to form x,
+and a product with M for the true residual; the corner path transforms at
+length n only.  Each cycle is accurate to about eps cond(M), so the
+refinement cycles matter there.  Any other operator or preconditioner
+takes the product path: the optimal and superoptimal ones, Strang's of a
+dense T, whose corners are n/2 wide, and Strang's of a T whose band is
+too wide for the second test.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from ._structured import cyclic_reverse
 from ._util import as_vector
 from .circulant import Circulant
 from .config import Config, config_get
-from .dft import entries_of, fast_len, forward, inverse, spectral_apply, spectrum_of
+from .dft import entries_of, fast_len, forward, inverse, spectral_apply
 from .errors import (
     BreakdownError,
     DimensionMismatchError,
@@ -347,8 +352,12 @@ def toep_lstsq(T: Toeplitz, b) -> np.ndarray:
     it, conjugate gradient on the normal equations A* A x = A* b with fast
     Toeplitz products (CGLS).  Underdetermined input raises.  Only the QR
     path detects numerical rank deficiency and raises RankDeficientError;
-    on rank-deficient input CGLS returns the minimum-norm solution (it
-    raises only when its iteration stagnates).
+    on rank-deficient input CGLS returns the minimum-norm solution.  CGLS
+    raises RankDeficientError when it does not converge within 5n
+    iterations, which names both causes it cannot tell apart: rank
+    deficiency, or a full-rank system too ill-conditioned for the normal
+    equations (ttridiag 240 sliced to 160 columns, cond 6.8e3, does not
+    converge).  That convergence failure itself is not mended.
     """
     if not isinstance(T, Toeplitz):
         raise TypeError("toep_lstsq expects a Toeplitz matrix")
@@ -402,8 +411,8 @@ def _cgls(T: Toeplitz, b, rtol):
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
     raise RankDeficientError(
-        f"rank deficient: normal-equations residual stagnated after {maxit} "
-        "CGLS iterations"
+        f"CGLS did not converge: normal-equations residual stagnated after {maxit} "
+        "iterations; the input is rank deficient or too ill-conditioned"
     )
 
 
@@ -431,23 +440,25 @@ def _as_operator(A):
 
 
 def _corner_split(T: Toeplitz, M: Circulant):
-    """The corner positions and corner product of D = T - M, or None.
+    """The corner positions of D = T - M and its dense block there, or None.
 
     T is square Toeplitz and M circulant, both of order n, so D is Toeplitz
     with diagonal d_l = t_l - c_(l mod n).  Let k be the least width with
     D zero on every lag |l| < n - k.  Then D is the sum of the k-by-k
-    Toeplitz blocks U = D[:k, n-k:] and L = D[n-k:, :k], and D v lives on
-    the 2k corner positions S = (n-k, ..., n-1, 0, ..., k-1), in this
-    cyclic order, and depends only on v[S].  The two block products are
-    one batched pair of transforms of length fast_len(2k - 1).  For a T of
-    band beta and its Strang preconditioner, k <= beta.
+    Toeplitz blocks D[:k, n-k:] and D[n-k:, :k], and D v lives on the 2k
+    corner positions S = (n-k, ..., n-1, 0, ..., k-1), in this cyclic
+    order, and depends only on v[S]: (D v)[S] = D_S v[S] with the dense
+    2k-by-2k block D_S = D[S][:, S].  For a T of band beta and its Strang
+    preconditioner, k <= beta.
 
     The split is taken when 4k <= n and (2k)^2 <= n log2(n): PCG on the
-    split then works in the 2k corner coordinates (see _corner_pcg), two
+    split then works in the 2k corner coordinates (see _corner_path), two
     dense 2k-by-2k products an iteration, and the second test weighs
     them against the order-n transform pair that the product path makes
     per iteration.  For a dense T, k = floor(n/2) under Strang.  Returns
-    (S, corners), where corners(v[S]) = (D v)[S].
+    (S, D_S).  Entries of D_S below the smallest normal double are set to
+    zero: a Gaussian kernel's tail holds hundreds of subnormals (342 at
+    n = 5000, k = 86), and they make the block product several times slower.
     """
     n = M.n
     d = T.t - np.concatenate((M.col[1:], M.col))
@@ -457,22 +468,16 @@ def _corner_split(T: Toeplitz, M: Circulant):
     if 4 * k > n or 4 * k * k > n * np.log2(n):
         return None
     S = np.arange(n - k, n + k) % n
-    if k == 0:
-        return S, np.zeros_like
-    # each block's diagonal vector, its own lags 1-k .. k-1, in rows
-    # 0 .. 2k-2: its product is rows k-1 .. 2k-2 of a convolution that no
-    # length from 2k - 1 up wraps
-    blocks = np.zeros((fast_len(2 * k - 1), 2), dtype=d.dtype)
-    blocks[: 2 * k - 1] = np.array((d[: 2 * k - 1], d[2 * n - 2 * k:])).T
-    spec = spectrum_of(blocks)
-    real = not np.iscomplexobj(d)
-
-    def corners(vs):
-        # columns U v[n-k:] and L v[:k], which land on S[k:] and S[:k]
-        y = spectral_apply(spec, vs.reshape(2, k).T, 2 * k - 1, real)[k - 1:]
-        return y[:, ::-1].ravel(order="F")
-
-    return S, corners
+    # D's lags folded mod n hold the lags between the corners exactly: q - n
+    # at q = 1 .. 2k-1 and q at q = n-2k+1 .. n-1, as D is zero on the other
+    # lag of each pair.  Within a corner the lags are |l| < k, where D is zero.
+    folded = d[n - 1:].copy()
+    folded[1:] += d[: n - 1]
+    block = _corner_gram(folded, 2 * k)
+    block[:k, :k] = block[k:, k:] = 0
+    parts = block.view(block.real.dtype)  # real and imaginary parts
+    parts[np.abs(parts) < np.finfo(parts.dtype).tiny] = 0
+    return S, block
 
 
 def _corner_gram(w, m):
@@ -499,22 +504,26 @@ def pcg_solve(
     `apply_A` may be a callable, a structured matrix, or a dense array; a
     Toeplitz operator's products run at _solver_size (see the module
     docstring).  A circulant preconditioner is checked once, as
-    Circulant.solve would check it, and then applied each iteration by one
-    spectral division.  Iteration stops when the recurrence residual
-    satisfies ||b - A x|| <= tol * ||b||; the report carries the recomputed
-    true relative residual, and the converged flag is only set once the
-    true residual meets the tolerance.  If it does not, the iteration
-    restarts from the true residual with p = z, and the iterations of
-    every restart count against `maxit`.
+    Circulant.solve would check it, and then applied by spectral division.
+
+    The solve is a run of refinement cycles.  Each cycle is one PCG run
+    (_pcg_cycle) from zero on the residual r0 = b - A x of the current x,
+    starting with r0 = b, and stops when its recurrence residual satisfies
+    ||r|| <= tol * ||b||.  Then x += dx, and the true residual is
+    recomputed; the solve stops when it meets tol (converged), on
+    breakdown, or after `maxit` iterations over all cycles.  The report
+    carries the last true relative residual.  A cycle that misses tol,
+    because its recurrence drifted from the true residual, is a step of
+    iterative refinement, and its successor starts with p = M^-1 r0.
 
     A Toeplitz operator T whose difference from M lives in two k-by-k
     corner blocks with 4k <= n and (2k)^2 <= n log2(n) (see _corner_split;
-    so for the Strang preconditioner of a banded T) is solved in the 2k
-    corner coordinates of _corner_pcg: an iteration makes no order-n
-    transform, a restart cycle divides by M once to start and once to
-    form x, and T's own spectrum is never built.  The true residual is
-    b - (M x + (T - M) x).  A cycle is accurate to about eps cond(M), so
-    the restart from the true residual acts as iterative refinement.
+    so for the Strang preconditioner of a banded T) runs its cycles in the
+    2k corner coordinates of _corner_path: an iteration makes no order-n
+    transform, only products with two dense 2k-by-2k blocks, a cycle
+    divides by M once to start and once to form dx, and T's own spectrum
+    is never built.  The true residual is b - (M x + (T - M) x).  A cycle
+    is accurate to about eps cond(M).
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -528,6 +537,7 @@ def pcg_solve(
     if bnorm == 0.0:
         return np.zeros_like(bv), SolveReport(0, 0.0, SolveFlag.CONVERGED)
 
+    split = None
     if M is None:
         def precond(v):
             return v
@@ -542,72 +552,91 @@ def pcg_solve(
 
         if isinstance(apply_A, Toeplitz):
             split = _corner_split(apply_A, M)
-            if split is not None:
-                return _corner_pcg(apply_A, M, bv, bnorm, tol, maxit, split, precond)
 
-    product = _as_operator(apply_A)
-    z = precond(bv)
-    x = np.zeros(bv.shape[0], dtype=np.result_type(bv, z))
-    r = bv.astype(x.dtype)
-    p = z.astype(x.dtype)
-    rho = np.vdot(r, z)
-    flag = None
-    for iterations in range(1, maxit + 1):
-        q = product(p)
-        pq = np.vdot(p, q)
-        if not np.isfinite(pq) or pq == 0.0:
-            flag = SolveFlag.BREAKDOWN
+    if split is None:
+        product = _as_operator(apply_A)
+
+        def cycle(r0):
+            return r0, product, precond, np.vdot, np.linalg.norm, lambda x: x
+    else:
+        product, cycle = _corner_path(M, split, precond)
+
+    x, r0, iterations = 0.0, bv, 0
+    while True:
+        dx, steps, flag = _pcg_cycle(*cycle(r0), tol * bnorm, maxit - iterations)
+        iterations += steps
+        x = x + dx
+        r0 = bv - product(x)
+        rel = float(np.linalg.norm(r0) / bnorm)
+        if flag is not None or rel <= tol or iterations == maxit:
             break
-        alpha = rho / pq
-        x = x + alpha * p  # out of place: a complex operator upcasts a real x
-        r = r - alpha * q
-        rnorm = np.linalg.norm(r)
-        # a non-finite entry makes the norm non-finite, but an overflowing
-        # norm alone is no breakdown
-        if not np.isfinite(rnorm) and not np.all(np.isfinite(r)):
-            flag = SolveFlag.BREAKDOWN
-            break
-        restart = rnorm <= tol * bnorm
-        if restart:
-            r = bv - product(x)
-            rel = float(np.linalg.norm(r) / bnorm)
-            if rel <= tol:
-                return x, SolveReport(iterations, rel, SolveFlag.CONVERGED)
-            # the recurrence drifted: restart from the true residual
-        z = precond(r)
-        rho_new = np.vdot(r, z)
-        p = z if restart else z + (rho_new / rho) * p
-        rho = rho_new
-    rel = float(np.linalg.norm(bv - product(x)) / bnorm)
     if flag is None:
         flag = SolveFlag.CONVERGED if rel <= tol else SolveFlag.MAX_ITERATIONS
     return x, SolveReport(iterations, rel, flag)
 
 
-def _corner_pcg(T, M, bv, bnorm, tol, maxit, split, precond):
-    """PCG for T = M + D, D = T - M living on the 2k corner positions S
-    (see _corner_split), in corner coordinates.
+def _pcg_cycle(r, product, precond, inner, norm, lift, target, maxit):
+    """PCG from x = 0 on the residual r, in whatever coordinates the five
+    callables share: `product` maps a direction to its image under the
+    operator, a residual; `precond` a residual to a direction;
+    inner(r, z) = r^H z for a residual r and a direction z; norm(r) is
+    ||r||; and lift(x) is the iterate, a direction, as an n-vector.
 
-    A cycle starts from an explicit residual r0 (first b) and divides once:
-    g = M^-1 r0.  With E the n-by-2k selection of S, every residual of the
-    cycle is r = a r0 + E c and every direction and iterate increment
-    p = a g + M^-1 E c, for a scalar a and a 2k-vector c, because
-    M^-1 T = I + M^-1 E D_S E^T.  So M p is (a, c) read as a residual,
-    and D p needs only p[S] = a g[S] + Gamma c, Gamma = E^T M^-1 E, a
-    Toeplitz block of M^-1's first column (see _corner_gram).  The inner
-    products reduce to rho0 = <r0, g>, g[S], r0[S], Gamma and
-    h[S] = (M^-H r0)[S], which is g[S] when M is Hermitian (its column its
-    own conjugate cyclic reverse, tested exactly) and else costs one more
-    division; ||r||^2 = |a|^2 ||r0 off S||^2 + ||a r0[S] + c||^2.
-
-    When the recurrence residual meets tol, one division forms x, and the
-    true residual b - (M x + D x) is computed.  A cycle is accurate to
-    about eps cond(M), so when the true residual misses tol, a new cycle
-    starts from it, as a step of iterative refinement.
+    Stops when norm(r) <= target, after `maxit` iterations, or on
+    breakdown: p^H A p zero or not finite, or a residual with a
+    non-finite entry.  Returns (lift(x), iterations, flag), the flag
+    BREAKDOWN or None.
     """
-    n = bv.shape[0]
-    S, corners = split
-    m = S.shape[0]
+    z = precond(r)
+    x = np.zeros(z.shape, dtype=np.result_type(r, z))
+    p, rho = z, inner(r, z)
+    for iterations in range(1, maxit + 1):
+        q = product(p)
+        pq = np.conj(inner(q, p))
+        if not np.isfinite(pq) or pq == 0.0:
+            return lift(x), iterations, SolveFlag.BREAKDOWN
+        alpha = rho / pq
+        x = x + alpha * p  # out of place: a complex operator upcasts a real x
+        r = r - alpha * q
+        rnorm = norm(r)
+        # a non-finite entry makes the norm non-finite, but an overflowing
+        # norm alone is no breakdown
+        if not np.isfinite(rnorm) and not np.all(np.isfinite(r)):
+            return lift(x), iterations, SolveFlag.BREAKDOWN
+        if rnorm <= target:
+            break
+        z = precond(r)
+        rho_new = inner(r, z)
+        p = z + (rho_new / rho) * p
+        rho = rho_new
+    return lift(x), iterations, None
+
+
+def _corner_path(M, split, precond):
+    """The product and the cycle coordinates of PCG for T = M + D, D = T - M
+    living on the 2k corner positions S (see _corner_split).
+
+    A cycle on the residual r0 divides once: g = M^-1 r0.  With E the
+    n-by-2k selection of S, every residual of the cycle is a r0 + E c and
+    every direction and iterate a g + M^-1 E c, for a scalar a and a
+    2k-vector c, because M^-1 T = I + M^-1 E D_S E^T.  A residual is held
+    as the vector (a, c), and a direction as (a, c, v_S), with v_S its
+    values on S, which every linear combination carries along.  So M p is
+    (a, c) read as a residual, and T p is (a, c + D_S v_S).  The
+    preconditioner's v_S = a g[S] + Gamma c, with Gamma = E^T M^-1 E a
+    Toeplitz block of M^-1's first column (see _corner_gram).  The inner
+    product needs rho0 = <r0, g>, Gamma's product and h[S] = (M^-H r0)[S],
+    which is g[S] when M is Hermitian (its column its own conjugate cyclic
+    reverse, tested exactly) and else costs one more division; and
+    ||r||^2 = |a|^2 ||r0 off S||^2 + ||a r0[S] + c||^2.  An iteration is
+    one product with Gamma and one with D_S.  One division lifts the
+    iterate to an n-vector.
+
+    Returns (product, cycle): the product with T as M x + D x, for the
+    true residual, and the map from r0 to _pcg_cycle's coordinates.
+    """
+    S, block = split
+    n, m = M.n, S.shape[0]
     k = m // 2
     spec, real = M.ev, M.isreal
     hermitian = np.array_equal(M.col, np.conj(cyclic_reverse(M.col)))
@@ -615,66 +644,40 @@ def _corner_pcg(T, M, bv, bnorm, tol, maxit, split, precond):
 
     def product(v):
         out = spectral_apply(spec, v, n, real)
-        out[S] += corners(v[S])
+        out[S] += block @ v[S]
         return out
 
-    g = precond(bv)
-    dtype = np.result_type(bv, g, T.dtype)
-    r0 = bv.astype(dtype)
-    x = None
-    iterations = 0
-    while True:
-        rho0 = np.vdot(r0, g)
-        g_S, r0_S = g[S], r0[S]
+    def corner_product(p):
+        return np.concatenate((p[:1], p[1: m + 1] + block @ p[m + 1:]))
+
+    def cycle(r0):
+        g = precond(r0)
+        rho0, g_S, r0_S = np.vdot(r0, g), g[S], r0[S]
         h_S = g_S if hermitian else spectral_apply(np.conj(spec), r0, n, real, divide=True)[S]
         off = r0[k: n - k]
         off2 = np.vdot(off, off).real
-        a_r = a_p = 1.0
-        a_x = 0.0
-        c_r, c_p, c_x = np.zeros((3, m), dtype=dtype)
-        rho = rho0
-        flag = None
-        while iterations < maxit:
-            iterations += 1
-            p_S = a_p * g_S + gamma @ c_p
-            c_q = c_p + corners(p_S)  # M p + D p as a residual
-            pq = a_p * (np.conj(a_p * rho0) + np.vdot(c_p, h_S)) + np.vdot(p_S, c_q)
-            if not np.isfinite(pq) or pq == 0.0:
-                flag = SolveFlag.BREAKDOWN
-                break
-            alpha = rho / pq
-            a_x = a_x + alpha * a_p
-            c_x = c_x + alpha * c_p
-            a_r = a_r - alpha * a_p
-            c_r = c_r - alpha * c_q
-            r_S = a_r * r0_S + c_r
-            rnorm = np.sqrt(abs(a_r) ** 2 * off2 + np.vdot(r_S, r_S).real)
-            # a non-finite entry makes the norm non-finite, but an overflowing
-            # norm alone is no breakdown
-            if not np.isfinite(rnorm) and not (
-                    np.all(np.isfinite(r_S)) and np.all(np.isfinite(a_r * off))):
-                flag = SolveFlag.BREAKDOWN
-                break
-            if rnorm <= tol * bnorm:
-                break
-            z_S = a_r * g_S + gamma @ c_r
-            rho_new = np.conj(a_r) * (a_r * rho0 + np.vdot(h_S, c_r)) + np.vdot(c_r, z_S)
-            beta = rho_new / rho
-            a_p = a_r + beta * a_p
-            c_p = c_r + beta * c_p
-            rho = rho_new
-        v = a_x * r0
-        v[S] += c_x
-        dx = precond(v)
-        x = dx if x is None else x + dx
-        r0 = bv - product(x)
-        rel = float(np.linalg.norm(r0) / bnorm)
-        if flag is not None or rel <= tol or iterations == maxit:
-            break
-        g = precond(r0)
-    if flag is None:
-        flag = SolveFlag.CONVERGED if rel <= tol else SolveFlag.MAX_ITERATIONS
-    return x, SolveReport(iterations, rel, flag)
+
+        def corner_precond(r):
+            return np.concatenate((r, r[0] * g_S + gamma @ r[1:]))
+
+        def inner(r, z):
+            c_z = z[1: m + 1]
+            return np.conj(r[0]) * (z[0] * rho0 + np.vdot(h_S, c_z)) + np.vdot(r[1:], z[m + 1:])
+
+        def norm(r):
+            r_S = r[0] * r0_S + r[1:]
+            return np.sqrt(abs(r[0]) ** 2 * off2 + np.vdot(r_S, r_S).real)
+
+        def lift(x):
+            v = x[0] * r0
+            v[S] += x[1: m + 1]
+            return precond(v)
+
+        r = np.zeros(m + 1, dtype=np.result_type(r0, g, block))
+        r[0] = 1.0
+        return r, corner_product, corner_precond, inner, norm, lift
+
+    return product, cycle
 
 
 # -- user-replaceable direct solvers --------------------------------------

@@ -668,6 +668,17 @@ def test_zero_matrix_outcomes(policy):
         toep_lstsq(Toeplitz.from_diagonals(np.zeros(279), 200, 80, config=cfg), np.ones(200))
 
 
+def test_cgls_names_non_convergence():
+    # full rank (cond 6.8e3), but the normal equations (cond 4.6e7) do not
+    # converge to LSTSQ_RTOL within 5n iterations
+    T = smtgallery("ttridiag", 240)[:, :160]
+    b = random_complex(np.random.default_rng(0), 240)
+    with pytest.raises(RankDeficientError,
+                       match="CGLS did not converge: .* stagnated after 800 iterations; "
+                             "the input is rank deficient or too ill-conditioned"):
+        toep_lstsq(T, b)
+
+
 def test_lazy_cev_fills_only_when_its_order_is_fast():
     rng = np.random.default_rng(6)
     T = _hpd(rng, 512, False, EmbeddingPolicy.POW2, toeprem=False)
@@ -712,9 +723,20 @@ def test_pcg_matches_dense_solve(n, policy, complex_entries):
 
 def split_product(split, Mv, v):
     """M v + (T - M) v from M v and the corner split of T - M."""
-    S, corners = split
+    S, block = split
     out = Mv.copy()
-    out[S] += corners(v[S])
+    out[S] += block @ v[S]
+    return out
+
+
+def flushed(a):
+    """A copy of `a` with every real or imaginary part of magnitude below
+    the smallest normal double set to zero."""
+    out = a.copy()
+    tiny = np.finfo(float).tiny
+    parts = (out.real, out.imag) if np.iscomplexobj(out) else (out,)
+    for part in parts:
+        part[np.abs(part) < tiny] = 0
     return out
 
 
@@ -753,7 +775,9 @@ def test_corner_split_matches_dense_product(policy, band):
         assert (split is not None) == corner_path(n, k), (n, band)
         if split is None:
             continue
-        assert np.array_equal(split[0], np.r_[n - k: n, :k])
+        S = split[0]
+        assert np.array_equal(S, np.r_[n - k: n, :k])
+        assert np.array_equal(split[1], flushed((A - M.full())[np.ix_(S, S)]))
         for p in (rng.standard_normal(n), random_complex(rng, n)):
             got = split_product(split, (M @ p).astype(complex), p)
             assert rel_err(got, A @ p) <= 1e-14, (n, T.dtype, p.dtype)
@@ -780,7 +804,24 @@ def test_corner_split_is_decided_by_the_data():
         split = solvers._corner_split(U, C)
         assert (split is not None) == splits
         if splits:
+            S = split[0]
+            assert np.array_equal(split[1], flushed((U.full() - C.full())[np.ix_(S, S)]))
             assert rel_err(split_product(split, C @ p, p), U.full() @ p) <= 1e-14
+
+
+def test_corner_block_holds_no_subnormal():
+    # the Gaussian kernel's tail: the exact block of T - M at k = 86 holds
+    # 342 subnormal entries, which make its product several times slower
+    T = smtgallery("gaussian", 5000)
+    M = strang(T)
+    S, block = solvers._corner_split(T, M)
+    assert S.size == 2 * 86
+    lags = S[:, None] - S[None, :]
+    exact = T.t[lags + 4999] - M.col[lags % 5000]  # (T - M)[S][:, S], entry by entry
+    tiny = np.finfo(float).tiny
+    assert np.count_nonzero((exact != 0) & (np.abs(exact) < tiny)) == 342
+    assert not np.any((block != 0) & (np.abs(block) < tiny))
+    assert np.array_equal(block, flushed(exact))
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -818,7 +859,7 @@ def test_split_pcg_never_transforms_at_the_solver_length(fft_lengths, policy):
     M = strang(H)
     fft_lengths.clear()
     pcg_solve(H, np.ones(131), M=M, tol=1e-10)
-    assert {n for _, n in fft_lengths} == {131, fast_len(19)} == {131, 20}
+    assert {n for _, n in fft_lengths} == {131}
     assert solvers._solver_size(H) == 144
 
 
@@ -846,6 +887,49 @@ def test_split_pcg_restart_reports_the_true_residual(monkeypatch):
     r = b - split_product(solvers._corner_split(T, M), M @ x, x)
     assert report.relative_residual == np.linalg.norm(r) / np.linalg.norm(b)
     dense = np.linalg.norm(b - T.full() @ x) / np.linalg.norm(b)
+    assert abs(report.relative_residual - dense) <= 1e-15
+
+
+@pytest.mark.parametrize("path", ["corner", "product", "callable"])
+def test_pcg_cycles_share_maxit_and_report_the_true_residual(path, monkeypatch):
+    # tol below attainable accuracy: each cycle ends when its recurrence
+    # residual passes tol, and the next starts from the true residual, with
+    # what is left of maxit, until all of it is spent
+    T = smtgallery("ttridiag", 64, d=4.0)
+    A = T.full()
+    if path == "corner":
+        M = strang(T)
+        split = solvers._corner_split(T, M)
+        assert split is not None
+
+        def product(v):
+            return split_product(split, M @ v, v)
+    elif path == "product":
+        M = optimal(T)
+        assert solvers._corner_split(T, M) is None
+        product = solvers._as_operator(T)
+    else:
+        M, product = None, T.matvec  # an FFT product, which rounds
+    b = np.random.default_rng(3).standard_normal(64)
+    cycles = []  # (the cycle's maxit, its iterations)
+    cycle = solvers._pcg_cycle
+
+    def spy(*args):
+        out = cycle(*args)
+        cycles.append((args[-1], out[1]))
+        return out
+
+    monkeypatch.setattr(solvers, "_pcg_cycle", spy)
+    x, report = pcg_solve(product if path == "callable" else T, b, M=M, tol=1e-16, maxit=60)
+    assert report.flag is SolveFlag.MAX_ITERATIONS and report.iterations == 60
+    assert len(cycles) >= 2
+    left = 60
+    for budget, steps in cycles:
+        assert budget == left
+        left -= steps
+    assert left == 0
+    assert report.relative_residual == np.linalg.norm(b - product(x)) / np.linalg.norm(b)
+    dense = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     assert abs(report.relative_residual - dense) <= 1e-15
 
 
@@ -939,6 +1023,39 @@ def test_corner_pcg_follows_dense_pcg(n, policy, monkeypatch):
         assert dense <= 1e-12 and abs(report.relative_residual - dense) <= 1e-14
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_corner_coordinates_match_dense_vectors(policy):
+    # each callable of a corner cycle against its n-vector meaning: a
+    # residual (a, c) is a r0 + E c, a direction (a, c, v_S) is
+    # M^-1 (a r0 + E c) with v_S its values on S
+    n = 81
+    rng = np.random.default_rng(19)
+    for T, M in _corner_cases(n, policy):
+        split = solvers._corner_split(T, M)
+        S = split[0]
+        m = S.size
+        A, Minv = T.full(), np.linalg.inv(M.full())
+        r0 = random_complex(rng, n)
+        product, cycle = solvers._corner_path(M, split, M.solve)
+        _, corner_product, corner_precond, inner, norm, lift = cycle(r0)
+
+        def residual(r):
+            out = r[0] * r0
+            out[S] += r[1:]
+            return out
+
+        r, s = random_complex(rng, 2, m + 1)
+        z = corner_precond(s)
+        assert np.array_equal(z[: m + 1], s)
+        want = Minv @ residual(s)
+        assert rel_err(z[m + 1:], want[S]) <= 1e-12
+        assert rel_err(lift(z), want) <= 1e-12
+        assert rel_err(residual(corner_product(z)), A @ want) <= 1e-12
+        assert rel_err(inner(r, z), np.vdot(residual(r), want)) <= 1e-12
+        assert rel_err(norm(r), np.linalg.norm(residual(r))) <= 1e-12
+        assert rel_err(product(r0), A @ r0) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 2, 64, 81, 97])
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("complex_entries", [False, True])
@@ -1005,13 +1122,13 @@ def test_corner_path_selection(n, k, corners, monkeypatch):
     M = strang(T)
     assert (solvers._corner_split(T, M) is not None) == corners
     taken = []
-    corner_pcg = solvers._corner_pcg
+    corner_path = solvers._corner_path
 
     def spy(*args):
         taken.append(True)
-        return corner_pcg(*args)
+        return corner_path(*args)
 
-    monkeypatch.setattr(solvers, "_corner_pcg", spy)
+    monkeypatch.setattr(solvers, "_corner_path", spy)
     b = np.random.default_rng(n).standard_normal(n)
     x, report = pcg_solve(T, b, M=M, tol=1e-10)
     assert bool(taken) == corners
@@ -1032,7 +1149,7 @@ def test_corner_pcg_transform_count_is_fixed(fft_lengths, policy):
         assert report.flag is SolveFlag.CONVERGED
         lengths = [n for _, n in fft_lengths]
         assert lengths.count(131) == 7
-        assert set(lengths) == {131, fast_len(19)}
+        assert set(lengths) == {131}
         assert solvers._solver_size(H) not in lengths
         counts.append(report.iterations)
     assert counts[0] < counts[1]
