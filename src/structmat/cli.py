@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import statistics
 import sys
 import time
@@ -38,6 +39,7 @@ from .preconditioners import smtcprec
 from .solvers import (
     SolveFlag,
     SolveReport,
+    _dense_solve,
     _solver_size,
     levinson_solve,
     pcg_solve,
@@ -70,10 +72,29 @@ _SWITCHES = {
     "warnings": "silence non-fatal diagnostics",
 }
 
+# Typed `gen` options: name -> (type, help).  Each is passed to the
+# generator when given; a bool option is a plain switch.
+_GEN_OPTIONS = {
+    "seed": (int, "RNG seed for random generators"),
+    "complex": (bool, "complex random entries"),
+    "p": (float, "decay rate (algdec/expdec/gaussian)"),
+    "rho": (float, "KMS correlation parameter"),
+    "w": (float, "prolate bandwidth"),
+    "alpha": (float, "tchow/ttriw value parameter"),
+    "delta": (float, "tchow diagonal shift"),
+    "k": (int, "band count / pattern variant"),
+}
+
 # `solve --precond` names: these build the preconditioner from the matrix;
 # any other value except "none" is read as a circulant file.
 _PRECOND_KINDS = ("strang", "optimal", "superoptimal")
 
+# Benchmarked operations: kind -> (fast, dense), called as op(T, x) on a
+# Toeplitz and as op(A, x) on its dense matrix.
+_BENCH_OPS = {
+    "matvec": (operator.matmul, operator.matmul),
+    "solve": (levinson_solve, np.linalg.solve),
+}
 # Dense comparison columns are dropped from benchmarks above this order.
 BENCH_DENSE_CUTOFF = 2048
 _BENCH_SEED = 20240901
@@ -107,13 +128,7 @@ def _parse_param_value(raw: str):
 
 
 def _collect_params(args) -> dict:
-    params = {}
-    for key in ("seed", "p", "rho", "w", "alpha", "delta", "k"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    if args.complex:
-        params["complex"] = True
+    params = {k: v for k, v in vars(args).items() if k in _GEN_OPTIONS and v is not None}
     for item in args.param or []:
         if "=" not in item:
             raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
@@ -148,6 +163,12 @@ def _apply_global_config(args) -> Config:
     return config_get()
 
 
+def _print_fields(fields) -> None:
+    """Print a report given as (field, value) pairs, one `field: value` line each."""
+    for name, value in fields:
+        print(f"{name}: {value}")
+
+
 def _describe(obj) -> tuple[str, str]:
     if isinstance(obj, Circulant):
         return "circulant", f"{obj.n}x{obj.n}"
@@ -174,18 +195,19 @@ def run_gen(args) -> int:
 def run_info(args) -> int:
     obj = read_matrix(args.path)
     kind, dims = _describe(obj)
-    print(f"type: {kind}")
-    print(f"dims: {dims}")
+    fields = [("type", kind), ("dims", dims)]
     if isinstance(obj, Circulant):
-        print(f"col: {obj.n} entries")
-        print(f"ev: {obj.n}")
+        fields += [("col", f"{obj.n} entries"), ("ev", obj.n)]
     elif isinstance(obj, Toeplitz):
         m, n = obj.shape
-        print(f"t: {m + n - 1} entries")
-        print(f"cev: {obj.cev.shape[0] if obj.cev is not None else 'not computed'}")
         u, l = obj._band()
-        print(f"band: lags {-u}..{l}")
-        print(f"solver length: {_solver_size(obj)}")
+        fields += [
+            ("t", f"{m + n - 1} entries"),
+            ("cev", obj.cev.shape[0] if obj.cev is not None else "not computed"),
+            ("band", f"lags {-u}..{l}"),
+            ("solver length", _solver_size(obj)),
+        ]
+    _print_fields(fields)
     if args.full:
         dense = obj.full() if isinstance(obj, (Circulant, Toeplitz)) else np.asarray(obj)
         if max(dense.shape, default=0) <= 12:
@@ -205,16 +227,10 @@ def run_precond(args) -> int:
 
 def _auto_solve(A, b) -> np.ndarray:
     if isinstance(A, Toeplitz):
-        x = toep_divide(A, b)
-    elif isinstance(A, Circulant):
-        x = A.solve(b)
-    else:
-        arr = np.asarray(A)
-        if arr.shape[0] == arr.shape[1]:
-            x = np.linalg.solve(arr, b)
-        else:
-            x, *_ = np.linalg.lstsq(arr, b, rcond=None)
-    return x
+        return toep_divide(A, b)
+    if isinstance(A, Circulant):
+        return A.solve(b)
+    return _dense_solve(A, b)
 
 
 def _relative_residual(A, x, b) -> float:
@@ -268,29 +284,32 @@ def run_solve(args) -> int:
 
     if args.output:
         write_matrix(args.output, np.asarray(x))
-    print("command: solve")
-    print(f"matrix: {args.matrix}")
-    print(f"rhs: {rhs_label}")
-    print(f"method: {args.method}")
-    print(f"precond: {args.precond}")
-    print(f"embedding: {config.embedding.value}")
-    print(f"toeprem: {'on' if config.toeprem else 'off'}")
-    print(f"intsolve: {'on' if config.intsolve else 'off'}")
-    print(f"intsolvels: {'on' if config.intsolvels else 'off'}")
-    print(f"tol: {args.tol:g}")
-    print(f"maxit: {args.maxit if args.maxit is not None else '-'}")
-    print(f"iterations: {report.iterations}")
-    print(f"relative_residual: {report.relative_residual:.12e}")
-    print(f"flag: {report.flag.value}")
-    print(f"wall_seconds: {wall:.6f}")
-    print(f"output: {args.output or '-'}")
+    _print_fields([
+        ("command", "solve"),
+        ("matrix", args.matrix),
+        ("rhs", rhs_label),
+        ("method", args.method),
+        ("precond", args.precond),
+        ("embedding", config.embedding.value),
+        *((key, "on" if getattr(config, key) else "off")
+          for key in ("toeprem", "intsolve", "intsolvels")),
+        ("tol", f"{args.tol:g}"),
+        ("maxit", args.maxit if args.maxit is not None else "-"),
+        ("iterations", report.iterations),
+        ("relative_residual", f"{report.relative_residual:.12e}"),
+        ("flag", report.flag.value),
+        ("wall_seconds", f"{wall:.6f}"),
+        ("output", args.output or "-"),
+    ])
     return EXIT_OK
 
 
 # -- benchmarks ------------------------------------------------------------
 
 
-def _median_time(fn, reps: int) -> float:
+def _median_time(fn, reps: int):
+    """The median time of `reps` calls of `fn` after a warm-up, and the
+    result of the last call."""
     # warm up for a fixed minimum time so plan setup, allocator state and
     # CPU frequency ramping do not leak into the samples
     deadline = time.perf_counter() + 0.05
@@ -300,54 +319,31 @@ def _median_time(fn, reps: int) -> float:
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        fn()
+        out = fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return statistics.median(times), out
 
 
-def bench_matvec(sizes, reps, policies):
-    """Fast-vs-dense matvec benchmark rows (op,n,policy,fast,dense,err)."""
-    rows = []
+def bench_rows(kind, sizes, reps, policies):
+    """Fast-vs-dense benchmark rows (op, n, policy, fast, dense, err) of the
+    `_BENCH_OPS` entry `kind`, on the order-n KMS matrix (rho = 0.5) and a
+    seeded random vector; err = max|fast - dense| / max|dense|.  Above
+    BENCH_DENSE_CUTOFF the dense time and err are None."""
+    fast_op, dense_op = _BENCH_OPS[kind]
     rng = np.random.default_rng(_BENCH_SEED)
+    rows = []
     for n in sizes:
         x = rng.standard_normal(n)
-        t = rng.standard_normal(2 * n - 1)
+        t = smtgallery("tkms", n, rho=0.5).t
         for policy in policies:
-            cfg = Config(embedding=policy, toeprem=True)
-            T = Toeplitz.from_diagonals(t, n, n, config=cfg)
-            fast = _median_time(lambda: T @ x, reps)
+            T = Toeplitz.from_diagonals(t, n, n, config=Config(embedding=policy, toeprem=True))
+            fast, got = _median_time(lambda: fast_op(T, x), reps)
+            dense = err = None
             if n <= BENCH_DENSE_CUTOFF:
                 A = T.full()
-                dense = _median_time(lambda: A @ x, reps)
-                ref = A @ x
-                err = float(
-                    np.max(np.abs(T @ x - ref)) / max(np.max(np.abs(ref)), 1e-300)
-                )
-                rows.append(("matvec", n, policy.value, fast, dense, err))
-            else:
-                rows.append(("matvec", n, policy.value, fast, None, None))
-    return rows
-
-
-def bench_solve(sizes, reps, policies):
-    """Levinson-vs-dense-LU solve benchmark rows."""
-    rows = []
-    for n in sizes:
-        for policy in policies:
-            cfg = Config(embedding=policy, toeprem=True)
-            T = smtgallery("tkms", n, rho=0.5)
-            T = Toeplitz.from_diagonals(T.t, n, n, config=cfg)
-            b = T @ np.ones(n)
-            fast = _median_time(lambda: levinson_solve(T, b), reps)
-            if n <= BENCH_DENSE_CUTOFF:
-                A = T.full()
-                dense = _median_time(lambda: np.linalg.solve(A, b), reps)
-                ref = np.linalg.solve(A, b)
-                got = levinson_solve(T, b)
-                err = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
-                rows.append(("solve", n, policy.value, fast, dense, err))
-            else:
-                rows.append(("solve", n, policy.value, fast, None, None))
+                dense, ref = _median_time(lambda: dense_op(A, x), reps)
+                err = float(np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300))
+            rows.append((kind, n, policy.value, fast, dense, err))
     return rows
 
 
@@ -362,8 +358,7 @@ def run_bench(args) -> int:
         if args.policies == "both"
         else [config_get().embedding]
     )
-    runner = bench_matvec if args.kind == "matvec" else bench_solve
-    rows = runner(sizes, args.reps, policies)
+    rows = bench_rows(args.kind, sizes, args.reps, policies)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("op,n,policy,fast_seconds,dense_seconds,max_rel_err\n")
         for op, n, policy, fast, dense, err in rows:
@@ -400,14 +395,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help=f"one of: {', '.join(GALLERY_NAMES)}")
     p.add_argument("size", help="order n, or MxN for rectangular generators")
     p.add_argument("-o", "--output", required=True, help="output matrix file")
-    p.add_argument("--seed", type=int, help="RNG seed for random generators")
-    p.add_argument("--complex", action="store_true", help="complex random entries")
-    p.add_argument("--p", type=float, help="decay rate (algdec/expdec/gaussian)")
-    p.add_argument("--rho", type=float, help="KMS correlation parameter")
-    p.add_argument("--w", type=float, help="prolate bandwidth")
-    p.add_argument("--alpha", type=float, help="tchow/ttriw value parameter")
-    p.add_argument("--delta", type=float, help="tchow diagonal shift")
-    p.add_argument("--k", type=int, help="band count / pattern variant")
+    for name, (kind, text) in _GEN_OPTIONS.items():
+        # a switch left off stays None, so the generator never sees False
+        flag = {"action": "store_true", "default": None} if kind is bool else {"type": kind}
+        p.add_argument(f"--{name}", help=text, **flag)
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="extra generator parameter (repeatable)")
     p.set_defaults(func=run_gen)
@@ -441,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_solve)
 
     p = sub.add_parser("bench", parents=[common], help="benchmark fast vs dense paths")
-    p.add_argument("kind", choices=["matvec", "solve"])
+    p.add_argument("kind", choices=list(_BENCH_OPS))
     p.add_argument("--sizes", required=True, help="comma-separated orders")
     p.add_argument("--reps", type=int, default=3, help="repetitions (median reported)")
     p.add_argument("--policies", choices=["active", "both"], default="active")

@@ -348,8 +348,8 @@ def _gs_solve(f, w, size, real):
 def toep_lstsq(T: Toeplitz, b) -> np.ndarray:
     """Least-squares solution of a strictly overdetermined Toeplitz system.
 
-    Below LSTSQ_DENSE_CUTOFF columns a dense Householder QR is used; above
-    it, conjugate gradient on the normal equations A* A x = A* b with fast
+    Below LSTSQ_DENSE_CUTOFF columns _dense_solve's Householder QR is used;
+    above it, conjugate gradient on the normal equations A* A x = A* b with fast
     Toeplitz products (CGLS).  Underdetermined input raises.  Only the QR
     path detects numerical rank deficiency and raises RankDeficientError;
     on rank-deficient input CGLS returns the minimum-norm solution.  CGLS
@@ -363,18 +363,9 @@ def toep_lstsq(T: Toeplitz, b) -> np.ndarray:
         raise TypeError("toep_lstsq expects a Toeplitz matrix")
     m, n = T.shape
     _check_overdetermined(m, n)
-    bv = _rhs(b, m)
     if n < LSTSQ_DENSE_CUTOFF:
-        A = T.full()
-        q, r = np.linalg.qr(A)
-        rd = np.abs(np.diag(r))
-        if rd.min() <= LSTSQ_RDIAG_RTOL * rd.max():
-            raise RankDeficientError(
-                "rank deficient: QR diagonal spans more than "
-                f"{1 / LSTSQ_RDIAG_RTOL:.0e}"
-            )
-        return np.linalg.solve(r, q.conj().T @ bv)
-    return _cgls(T, bv, LSTSQ_RTOL)
+        return _dense_solve(T.full(), b)
+    return _cgls(T, _rhs(b, m), LSTSQ_RTOL)
 
 
 def _solver_size(T: Toeplitz) -> int:
@@ -683,19 +674,33 @@ def _corner_path(M, split, precond):
 # -- user-replaceable direct solvers --------------------------------------
 
 
+def _dense_solve(A: np.ndarray, b) -> np.ndarray:
+    """Solve with a dense matrix: LU when square, Householder QR when tall.
+    Wide input raises UnderdeterminedError, and a tall A whose R diagonal
+    spans more than 1 / LSTSQ_RDIAG_RTOL raises RankDeficientError."""
+    m, n = A.shape
+    if m == n:
+        return np.linalg.solve(A, _rhs(b, m))
+    _check_overdetermined(m, n)
+    bv = _rhs(b, m)
+    q, r = np.linalg.qr(A)
+    rd = np.abs(np.diag(r))
+    if rd.min() <= LSTSQ_RDIAG_RTOL * rd.max():
+        raise RankDeficientError(
+            "rank deficient: QR diagonal spans more than "
+            f"{1 / LSTSQ_RDIAG_RTOL:.0e}"
+        )
+    return np.linalg.solve(r, q.conj().T @ bv)
+
+
 def _dense_tsolve(T: Toeplitz, b) -> np.ndarray:
-    """Default registered square solver: dense LU on the full matrix."""
-    return np.linalg.solve(T.full(), np.asarray(b))
-
-
-def _dense_tsolvels(T: Toeplitz, b) -> np.ndarray:
-    """Default registered least-squares solver: dense QR on the full matrix."""
-    _check_overdetermined(*T.shape)
-    return np.linalg.lstsq(T.full(), np.asarray(b), rcond=None)[0]
+    """Default registered solver of both division routes: _dense_solve on
+    the full matrix."""
+    return _dense_solve(T.full(), b)
 
 
 _solver_lock = threading.Lock()
-_user_solvers = {"tsolve": _dense_tsolve, "tsolvels": _dense_tsolvels}
+_user_solvers = {"tsolve": _dense_tsolve, "tsolvels": _dense_tsolve}
 
 
 def register_tsolve(fn) -> None:

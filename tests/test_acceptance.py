@@ -29,7 +29,7 @@ from structmat import (
     toep_lstsq,
     write_matrix,
 )
-from structmat.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, bench_matvec, main
+from structmat.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, bench_rows, main
 
 from conftest import dense_circulant, dense_toeplitz, random_complex, rel_err
 
@@ -187,7 +187,7 @@ def test_criterion_6_pcg_strang_experiment():
 
 def test_criterion_7_complexity_smoke_advisory():
     with criterion(7, "fast matvec complexity (advisory)"):
-        rows = bench_matvec([2**13, 2**16], reps=9, policies=[EmbeddingPolicy.POW2])
+        rows = bench_rows("matvec", [2**13, 2**16], reps=9, policies=[EmbeddingPolicy.POW2])
         t13, t16 = rows[0][3], rows[1][3]
         ratio = t16 / t13
         if ratio <= 16:

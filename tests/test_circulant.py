@@ -215,6 +215,13 @@ def test_transpose():
     assert np.max(np.abs(R.H.ev - dft(R.H.col))) <= 1e-12
 
 
+def test_matrix_power_requires_an_integer_exponent():
+    C = Circulant([2.0, 1.0, 0.0])
+    with pytest.raises(TypeError, match="integer exponent"):
+        C.matrix_power(1.5)
+    assert np.allclose(C.matrix_power(2.0).full(), C.full() @ C.full())
+
+
 def test_map_entries():
     R = Circulant([1.0, 2.0, 3.0])
     assert R.map_entries("real") == R

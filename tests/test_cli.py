@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import subprocess
 import sys
 import warnings
@@ -10,6 +11,8 @@ import pytest
 from structmat import (Circulant, Config, EmbeddingPolicy, Toeplitz, cli, config_get,
                        errors, levinson_solve, read_matrix, smtgallery)
 from structmat.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+
+from conftest import rel_err
 
 
 def run(capsys, *argv):
@@ -525,3 +528,222 @@ def test_every_config_field_can_be_set_from_the_cli(tmp_path, field):
     for argv in (["info", "x", *flag], ["info", "x", "--config", str(conf)]):
         cli._apply_global_config(cli._build_parser().parse_args(argv))
         assert getattr(config_get(), field.name) == want
+
+
+# -- report tables -------------------------------------------------------------
+
+SOLVE_DEFAULTS = {"command": "solve", "matrix": "I.smt", "rhs": "v.smt", "method": "auto",
+                  "precond": "none", "embedding": "pow2", "toeprem": "on", "intsolve": "on",
+                  "intsolvels": "on", "tol": "1e-07", "maxit": "-", "iterations": "0",
+                  "relative_residual": "0.000000000000e+00", "flag": "converged",
+                  "wall_seconds": None, "output": "-"}
+
+
+def _identity_files():
+    """Order-4 identities of every matrix kind and an rhs vector, in the
+    current directory: every solve of them is exact."""
+    from structmat import write_matrix
+
+    write_matrix("I.smt", Toeplitz([1.0, 0.0, 0.0, 0.0]))
+    write_matrix("C.smt", Circulant([1.0, 0.0, 0.0, 0.0]))
+    write_matrix("D.smt", np.eye(4))
+    write_matrix("v.smt", np.arange(1.0, 5.0))
+
+
+@pytest.mark.parametrize("argv, changed", [
+    (["I.smt", "v.smt"], {}),
+    (["I.smt", "v.smt", "--method", "levinson", "--tol", "1e-3"],
+     {"method": "levinson", "tol": "0.001"}),
+    (["I.smt", "v.smt", "--method", "pcg", "--maxit", "9", "--embedding", "tight",
+      "--no-intsolvels", "-o", "x.smt"],
+     {"method": "pcg", "maxit": "9", "embedding": "tight", "intsolvels": "off",
+      "iterations": "1", "output": "x.smt"}),
+    (["I.smt", "v.smt", "--method", "pcg", "--precond", "strang", "--no-toeprem",
+      "--no-intsolve"],
+     {"method": "pcg", "precond": "strang", "toeprem": "off", "intsolve": "off",
+      "iterations": "1"}),
+    (["C.smt", "--rhs-ones"], {"matrix": "C.smt", "rhs": "ones-image"}),
+    (["D.smt", "v.smt"], {"matrix": "D.smt"}),
+])
+def test_solve_report_fields_in_order(tmp_path, capsys, monkeypatch, argv, changed):
+    monkeypatch.chdir(tmp_path)
+    _identity_files()
+    code, stdout, _ = run(capsys, "solve", *argv)
+    assert code == EXIT_OK
+    want = {**SOLVE_DEFAULTS, **changed}
+    lines = stdout.splitlines()
+    assert [line.partition(": ")[0] for line in lines] == list(want)
+    for line, (key, value) in zip(lines, want.items()):
+        if value is None:
+            assert re.fullmatch(rf"{key}: \d+\.\d{{6}}", line), line
+        else:
+            assert line == f"{key}: {value}"
+
+
+@pytest.mark.parametrize("path, flags, lines", [
+    ("I.smt", [], ["type: toeplitz", "dims: 4x4", "t: 7 entries", "cev: 8",
+                   "band: lags 0..0", "solver length: 4"]),
+    ("I.smt", ["--no-toeprem"], ["type: toeplitz", "dims: 4x4", "t: 7 entries",
+                                  "cev: not computed", "band: lags 0..0", "solver length: 4"]),
+    ("C.smt", [], ["type: circulant", "dims: 4x4", "col: 4 entries", "ev: 4"]),
+    ("D.smt", [], ["type: dense", "dims: 4x4"]),
+    ("v.smt", ["--full"], ["type: vector", "dims: 4", "[1. 2. 3. 4.]"]),
+])
+def test_info_report_fields_in_order(tmp_path, capsys, monkeypatch, path, flags, lines):
+    monkeypatch.chdir(tmp_path)
+    _identity_files()
+    code, stdout, _ = run(capsys, "info", path, *flags)
+    assert code == EXIT_OK
+    assert stdout.splitlines() == lines
+
+
+def test_info_full_above_order_twelve_is_summarised(tmp_path, capsys):
+    path = tmp_path / "g.smt"
+    run(capsys, "gen", "gaussian", "13", "-o", str(path))
+    code, stdout, _ = run(capsys, "info", str(path), "--full")
+    assert code == EXIT_OK
+    assert stdout.splitlines()[-1] == "(matrix too large for full display)"
+
+
+# -- gen options -----------------------------------------------------------------
+
+
+def test_gen_options_are_generator_keywords():
+    # a renamed generator option must not leave a dead `gen` flag behind
+    from structmat.gallery import _PARAMS
+
+    keywords = set().union(*_PARAMS.values())
+    assert set(cli._GEN_OPTIONS) <= keywords, set(cli._GEN_OPTIONS) - keywords
+
+
+def test_gen_rectangular_complex(tmp_path, capsys):
+    out = tmp_path / "r.smt"
+    code, stdout, _ = run(capsys, "gen", "tprand", "4,6", "--complex", "--seed", "1",
+                          "-o", str(out))
+    assert code == EXIT_OK and "toeplitz 4x6" in stdout
+    T = read_matrix(out)
+    assert T.shape == (4, 6) and np.iscomplexobj(T.t)
+    assert np.array_equal(T.t, smtgallery("tprand", (4, 6), complex=True, seed=1).t)
+
+
+@pytest.mark.parametrize("name, size, params, want", [
+    ("ttoeppd", "5", ["weights=1,2", "theta=0.1,0.3"],
+     {"weights": [1.0, 2.0], "theta": [0.1, 0.3]}),
+    ("crrand", "4", ["complex=true", "seed=2"], {"complex": True, "seed": 2}),
+    ("tkms", "4", ["rho= 0.25 "], {"rho": 0.25}),
+], ids=["lists", "bool", "float"])
+def test_gen_param_values(tmp_path, capsys, name, size, params, want):
+    out = tmp_path / "p.smt"
+    argv = [arg for item in params for arg in ("--param", item)]
+    code, _, _ = run(capsys, "gen", name, size, *argv, "-o", str(out))
+    assert code == EXIT_OK
+    got, ref = read_matrix(out), smtgallery(name, int(size), **want)
+    assert type(got) is type(ref)
+    assert np.allclose(got.full(), ref.full(), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tprand", "4x5x6"], "invalid size '4x5x6'"),
+    (["tkms", "4", "--param", "rho"], "--param expects KEY=VALUE, got 'rho'"),
+])
+def test_gen_usage_errors(tmp_path, capsys, argv, message):
+    code, _, err = run(capsys, "gen", *argv, "-o", str(tmp_path / "x.smt"))
+    assert code == EXIT_USAGE and message in err
+
+
+# -- config files -------------------------------------------------------------------
+
+
+def test_config_file_line_without_equals_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "conf"
+    conf.write_text("# a comment\n\nembedding=tight\nnoequals\n")
+    code, _, err = run(capsys, "info", "x.smt", "--config", str(conf))
+    assert code == EXIT_USAGE
+    assert f"{conf}:4: expected key=value, got 'noequals'" in err
+
+
+def test_missing_config_file_is_io_error(tmp_path, capsys):
+    code, _, err = run(capsys, "info", "x.smt", "--config", str(tmp_path / "none"))
+    assert code == EXIT_IO and "cannot read config file" in err
+
+
+# -- solve branches -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["I.smt"], EXIT_USAGE, "solve needs an rhs file or --rhs-ones"),
+    (["I.smt", "D.smt"], EXIT_IO, "D.smt: expected a vector file"),
+    (["C.smt", "--rhs-ones", "--method", "levinson"], EXIT_USAGE,
+     "--method levinson requires a Toeplitz matrix file"),
+])
+def test_solve_argument_errors(tmp_path, capsys, monkeypatch, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    _identity_files()
+    got, _, err = run(capsys, "solve", *argv)
+    assert got == code and message in err
+
+
+def test_solve_tall_dense_is_least_squares(tmp_path, capsys, monkeypatch):
+    from structmat import write_matrix
+
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(3)
+    A, b = rng.standard_normal((9, 4)), rng.standard_normal(9)
+    write_matrix("A.smt", A)
+    write_matrix("b.smt", b)
+    code, stdout, _ = run(capsys, "solve", "A.smt", "b.smt", "-o", "x.smt")
+    assert code == EXIT_OK
+    want, *_ = np.linalg.lstsq(A, b, rcond=None)
+    assert rel_err(read_matrix("x.smt"), want) <= 1e-12
+    assert float(report_dict(stdout)["relative_residual"]) == pytest.approx(
+        np.linalg.norm(b - A @ want) / np.linalg.norm(b), rel=1e-12)
+
+
+def test_solve_rank_deficient_tall_dense_is_numerical_error(tmp_path, capsys, monkeypatch):
+    from structmat import write_matrix
+
+    monkeypatch.chdir(tmp_path)
+    T = Toeplitz.from_diagonals(np.ones(12), 8, 5)
+    write_matrix("A.smt", T.full())
+    write_matrix("b.smt", T @ np.arange(5.0))
+    code, stdout, err = run(capsys, "solve", "A.smt", "b.smt")
+    assert code == EXIT_NUMERICAL and stdout == ""
+    assert err.startswith("error: RankDeficientError: rank deficient")
+
+
+# -- bench --------------------------------------------------------------------------------
+
+
+def test_bench_rejects_sizes_below_one(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code, _, err = run(capsys, "bench", "matvec", "--sizes", "0", "-o", str(out))
+    assert code == EXIT_USAGE and "invalid --sizes '0'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", list(cli._BENCH_OPS))
+def test_bench_rows_above_the_dense_cutoff_leave_dense_columns_empty(
+        tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.setattr(cli, "BENCH_DENSE_CUTOFF", 8)
+    out = tmp_path / "bench.csv"
+    code, _, _ = run(capsys, "bench", kind, "--sizes", "8,9", "--reps", "1", "-o", str(out))
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[:3] for row in rows] == [[kind, "8", "pow2"], [kind, "9", "pow2"]]
+    assert rows[0][4] and rows[0][5] and rows[1][4:] == ["", ""]
+
+
+def test_bench_rows_share_one_matrix_vector_and_error_rule():
+    # the KMS matrix (rho = 0.5), one seeded vector, err = max|fast - dense| / max|dense|
+    n = 12
+    rows = {kind: cli.bench_rows(kind, [n], 1, [EmbeddingPolicy.TIGHT]) for kind in cli._BENCH_OPS}
+    x = np.random.default_rng(cli._BENCH_SEED).standard_normal(n)
+    A = smtgallery("tkms", n, rho=0.5).full()
+    T = Toeplitz.from_diagonals(smtgallery("tkms", n, rho=0.5).t, n, n,
+                                config=Config(embedding=EmbeddingPolicy.TIGHT))
+    for kind, fast in (("matvec", T @ x), ("solve", levinson_solve(T, x))):
+        ref = A @ x if kind == "matvec" else np.linalg.solve(A, x)
+        (op, size, policy, _, dense, err), = rows[kind]
+        assert (op, size, policy) == (kind, n, "tight") and dense > 0
+        assert err == pytest.approx(np.max(np.abs(fast - ref)) / np.max(np.abs(ref)),
+                                    rel=1e-6, abs=1e-18)

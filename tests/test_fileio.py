@@ -9,6 +9,8 @@ from structmat import (
     write_matrix,
 )
 
+from structmat.cli import EXIT_IO, main
+
 from conftest import same_bits
 
 
@@ -163,6 +165,23 @@ def test_bad_header_and_entries(tmp_path):
     path.write_text("")
     with pytest.raises(MatrixFileError, match="empty file"):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("smt dense a b", "non-integer dimensions"),
+    ("smt vector 2.0", "non-integer dimensions"),
+    ("smt vector 0", "dimensions must be positive"),
+    ("smt dense -1 2", "dimensions must be positive"),
+    ("smt toeplitz 3", "toeplitz takes two dimensions"),
+    ("smt circulant 2 2", "circulant takes one dimension"),
+])
+def test_bad_header_dimensions(tmp_path, capsys, header, message):
+    path = tmp_path / "bad.smt"
+    path.write_text(f"{header}\n1 0\n1 0\n")
+    with pytest.raises(MatrixFileError, match=f"line 1: {message}"):
+        read_matrix(path)
+    assert main(["info", str(path)]) == EXIT_IO
+    assert f"line 1: {message}" in capsys.readouterr().err
 
 
 def test_real_detection(tmp_path):

@@ -73,6 +73,14 @@ def test_strang_fixed_point_on_circulants():
     assert np.array_equal(strang(even.to_toeplitz()).col, even.col)
 
 
+@pytest.mark.parametrize("col", [[3.0, 1.0, -2.0, 0.5, 0.25], [3.0, 1.0 + 1j, -2.0, 1.0 - 1j]])
+def test_strang_of_a_circulant_is_itself(col):
+    C = Circulant(col)
+    got = strang(C)
+    assert isinstance(got, Circulant)
+    assert np.array_equal(got.col, C.col)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 13])
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_strang_matches_per_diagonal_rule(n, complex_entries):

@@ -22,6 +22,7 @@ from structmat import (
     optimal,
     pcg_solve,
     register_tsolve,
+    register_tsolvels,
     smtgallery,
     solvers,
     strang,
@@ -456,6 +457,64 @@ def test_user_solver_is_called():
         from structmat.solvers import _dense_tsolve
 
         register_tsolve(_dense_tsolve)
+
+
+def test_user_least_squares_solver_is_called():
+    calls = []
+
+    def my_solver(T, b):
+        calls.append(T.shape)
+        return np.zeros(T.shape[1])
+
+    tall = smtgallery("tprand", (9, 4), seed=3)
+    default = solvers._user_solvers["tsolvels"]
+    register_tsolvels(my_solver)
+    try:
+        assert np.array_equal(toep_divide(tall, np.ones(9), config=Config(intsolvels=False)),
+                              np.zeros(4))
+        assert calls == [(9, 4)]
+        toep_divide(tall, np.ones(9))  # intsolvels on: the internal solver
+        assert calls == [(9, 4)]
+    finally:
+        register_tsolvels(default)
+
+
+def test_dense_fallbacks_raise_on_rank_deficient_tall_input():
+    # rank 1 of 5: the registered fallback applies the QR path's rank rule
+    T = Toeplitz.from_diagonals(np.ones(12), 8, 5)
+    b = T @ np.arange(5.0)
+    off = Config(intsolvels=False)
+    for solve in (lambda: toep_lstsq(T, b), lambda: toep_divide(T, b, config=off)):
+        with pytest.raises(RankDeficientError, match="QR diagonal spans"):
+            solve()
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (9, 4), (70, 40)])
+def test_dense_fallbacks_match_lapack(shape):
+    m, n = shape
+    rng = np.random.default_rng(m)
+    t = random_complex(rng, m + n - 1)
+    t[n - 1] += 4.0 * np.sqrt(n)
+    T, b = Toeplitz.from_diagonals(t, m, n), random_complex(rng, m)
+    A = dense_toeplitz(t, m, n)
+    want = np.linalg.solve(A, b) if m == n else np.linalg.lstsq(A, b, rcond=None)[0]
+    off = Config(intsolve=False, intsolvels=False)
+    assert rel_err(toep_divide(T, b, config=off), want) <= 1e-12
+
+
+def test_dense_fallback_rejects_wide_input():
+    T = Toeplitz.from_diagonals(np.arange(1.0, 10.0), 4, 6)
+    with pytest.raises(UnderdeterminedError):
+        toep_divide(T, np.ones(4), config=Config(intsolvels=False))
+
+
+@pytest.mark.parametrize("solve", [levinson_solve, toep_lstsq, toep_divide],
+                         ids=lambda f: f.__name__)
+def test_solvers_reject_non_toeplitz(solve):
+    with pytest.raises(TypeError, match="Toeplitz"):
+        solve(np.eye(3), np.ones(3))
+    with pytest.raises(TypeError, match="Toeplitz"):
+        solve(Circulant([2.0, 1.0, 0.0]), np.ones(3))
 
 
 # -- result dtypes -------------------------------------------------------------

@@ -5,7 +5,7 @@ import operator
 import numpy as np
 import pytest
 
-from structmat import Circulant, DimensionMismatchError, Toeplitz
+from structmat import Circulant, DimensionMismatchError, Toeplitz, is_circulant, is_toeplitz
 from structmat._structured import cyclic_reverse, reversal_index
 
 from conftest import dense_circulant, dense_toeplitz, random_complex, rel_err, same_bits
@@ -136,3 +136,37 @@ def test_indexing_errors():
                     0, (0,), (0, 0, 0), [0, 0]):
             with pytest.raises(TypeError):
                 A[key]
+
+
+def test_type_predicates():
+    C, T = Circulant([1.0, 2.0]), Toeplitz([1.0, 2.0])
+    assert is_circulant(C) and not is_circulant(T) and not is_circulant(C.full())
+    assert is_toeplitz(T) and not is_toeplitz(C) and not is_toeplitz(T.full())
+    assert is_toeplitz(C.to_toeplitz())
+
+
+@pytest.mark.parametrize("tag, f", [("round", np.round), ("fix", np.trunc),
+                                    ("floor", np.floor), ("ceil", np.ceil)])
+def test_rounding_maps_act_on_real_and_imaginary_parts(tag, f):
+    rng = np.random.default_rng(8)
+    col = 10 * random_complex(rng, 5)
+    for A in (Circulant(col), Toeplitz.from_diagonals(10 * random_complex(rng, 7), 3, 5)):
+        got = A.map_entries(tag)
+        assert type(got) is type(A)
+        dense = A.full()
+        assert np.array_equal(got.full().real, f(dense.real))
+        assert np.array_equal(got.full().imag, f(dense.imag))
+
+
+def test_diagonal_outside_the_matrix_is_empty():
+    for A in (Circulant([1.0, 2.0, 3.0]), Toeplitz.from_diagonals(np.arange(1.0, 7.0), 4, 3)):
+        m, n = A.shape
+        for k in (n, n + 2, -m, -m - 1):
+            got = A.diag(k)
+            assert got.shape == (0,) and got.dtype == A.dtype
+
+
+def test_unary_plus_is_the_value_itself():
+    C = Circulant([1.0, -2.0, 3.0])
+    assert +C is C
+    assert np.array_equal((+C).full(), C.full())
