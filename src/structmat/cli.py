@@ -36,16 +36,7 @@ from .errors import (
 from .fileio import read_matrix, write_matrix
 from .gallery import GALLERY_NAMES, smtgallery
 from .preconditioners import smtcprec
-from .solvers import (
-    SolveFlag,
-    SolveReport,
-    _dense_solve,
-    _solver_size,
-    levinson_solve,
-    pcg_solve,
-    toep_divide,
-    toep_lstsq,
-)
+from .solvers import _solve, _solver_size, levinson_solve
 from .toeplitz import Toeplitz
 
 EXIT_OK = 0
@@ -225,23 +216,12 @@ def run_precond(args) -> int:
     return EXIT_OK
 
 
-def _auto_solve(A, b) -> np.ndarray:
-    if isinstance(A, Toeplitz):
-        return toep_divide(A, b)
-    if isinstance(A, Circulant):
-        return A.solve(b)
-    return _dense_solve(A, b)
-
-
-def _relative_residual(A, x, b) -> float:
-    bnorm = np.linalg.norm(b)
-    return float(np.linalg.norm(b - A @ x) / bnorm) if bnorm else 0.0
-
-
-def _preconditioner(name, A) -> Circulant:
-    """The circulant that `solve --precond NAME` asks for: built from `A` for
-    a kind name, otherwise read from the file NAME, which must hold a
-    circulant of A's order."""
+def _preconditioner(name, A) -> Circulant | None:
+    """The circulant that `solve --precond NAME` asks for: None for "none",
+    built from `A` for a kind name, otherwise read from the file NAME, which
+    must hold a circulant of A's order."""
+    if name == "none":
+        return None
     if name in _PRECOND_KINDS:
         return smtcprec(name, A)
     M = read_matrix(name)
@@ -271,15 +251,8 @@ def run_solve(args) -> int:
         rhs_label = args.rhs
 
     start = time.perf_counter()
-    if args.method == "pcg":
-        M = _preconditioner(args.precond, A) if args.precond != "none" else None
-        x, report = pcg_solve(A, b, M=M, tol=args.tol, maxit=args.maxit)
-    else:
-        if args.method != "auto" and not isinstance(A, Toeplitz):
-            raise StructmatError(f"--method {args.method} requires a Toeplitz matrix file")
-        direct = {"auto": _auto_solve, "levinson": levinson_solve, "lstsq": toep_lstsq}
-        x = direct[args.method](A, b)
-        report = SolveReport(0, _relative_residual(A, x, b), SolveFlag.CONVERGED)
+    M = _preconditioner(args.precond, A) if args.method == "pcg" else None
+    x, report = _solve(A, b, args.method, M=M, tol=args.tol, maxit=args.maxit)
     wall = time.perf_counter() - start
 
     if args.output:

@@ -431,6 +431,35 @@ def test_solve_singular_dense_system_is_numerical_error(tmp_path, capsys, matrix
     assert code == EXIT_NUMERICAL and err.startswith("error: LinAlgError:")
 
 
+@pytest.mark.parametrize("matrix, flags", [
+    (smtgallery("tdramadah", 60).full(), []),
+    (smtgallery("tdramadah", 60), ["--no-intsolve"]),
+], ids=["dense", "toeplitz-dense-fallback"])
+def test_solve_numerically_singular_dense_system_is_numerical_error(tmp_path, capsys,
+                                                                   matrix, flags):
+    # cond_1 8.7e15: LU returns without a word, the condition number raises
+    from structmat import write_matrix
+
+    mat = tmp_path / "s.smt"
+    write_matrix(mat, matrix)
+    code, stdout, err = run(capsys, "solve", str(mat), "--rhs-ones", *flags)
+    assert code == EXIT_NUMERICAL and stdout == ""
+    assert err.startswith("error: SingularMatrixError: numerically singular")
+
+
+def test_solve_square_dense_agrees_with_lapack(tmp_path, capsys, monkeypatch):
+    from structmat import write_matrix
+
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(8)
+    A, b = rng.standard_normal((12, 12)) + 12.0 * np.eye(12), rng.standard_normal(12)
+    write_matrix("A.smt", A)
+    write_matrix("b.smt", b)
+    code, stdout, _ = run(capsys, "solve", "A.smt", "b.smt", "-o", "x.smt")
+    assert code == EXIT_OK and report_dict(stdout)["flag"] == "converged"
+    assert rel_err(read_matrix("x.smt"), np.linalg.solve(A, b)) <= 1e-15
+
+
 @pytest.mark.parametrize("name, param", [("ttoeppd", "m=1e400"), ("tgrcar", "k=1e400")])
 def test_gen_infinite_integer_parameter_is_usage_error(tmp_path, capsys, name, param):
     code, _, err = run(capsys, "gen", name, "4", "--param", param,

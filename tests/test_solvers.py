@@ -517,6 +517,123 @@ def test_solvers_reject_non_toeplitz(solve):
         solve(Circulant([2.0, 1.0, 0.0]), np.ones(3))
 
 
+# -- the solve route -----------------------------------------------------------
+
+
+def _route_operands():
+    rng = np.random.default_rng(43)
+    n = 24
+    square = dominant_toeplitz(rng, n, complex_entries=False)
+    tall_t = rng.standard_normal(3 * n - 1)
+    tall_t[2 * n - 1] += 8.0
+    wide_t = random_complex(rng, 269)  # 200 x 70: CGLS, above the QR cutoff
+    wide_t[69] += 30.0
+    col = rng.standard_normal(n)
+    col[0] += 2.0 * n
+    return {
+        "toeplitz": square,
+        "complex": dominant_toeplitz(rng, n),
+        "tall": Toeplitz.from_diagonals(tall_t, 2 * n, n),
+        "tall-cgls": Toeplitz.from_diagonals(wide_t, 200, 70),
+        "circulant": Circulant(col),
+        "dense": square.full() + 0.1 * rng.standard_normal((n, n)),
+        "tall-dense": rng.standard_normal((2 * n, n)),
+    }
+
+
+ROUTE_OPERANDS = _route_operands()
+NOT_TOEPLITZ = (StructmatError, "requires a Toeplitz matrix file")
+# (operand kind, method) -> the public call that the route makes, or the
+# error it raises
+ROUTES = {
+    ("toeplitz", "auto"): toep_divide,
+    ("toeplitz", "levinson"): levinson_solve,
+    ("toeplitz", "lstsq"): (UnderdeterminedError, "underdetermined"),
+    ("complex", "auto"): toep_divide,
+    ("complex", "levinson"): levinson_solve,
+    ("tall", "auto"): toep_divide,
+    ("tall", "levinson"): (DimensionMismatchError, "square"),
+    ("tall", "lstsq"): toep_lstsq,
+    ("tall-cgls", "auto"): toep_divide,
+    ("tall-cgls", "lstsq"): toep_lstsq,
+    ("circulant", "auto"): lambda C, b: C.solve(b),
+    ("circulant", "levinson"): NOT_TOEPLITZ,
+    ("circulant", "lstsq"): NOT_TOEPLITZ,
+    ("dense", "auto"): solvers._dense_solve,
+    ("dense", "levinson"): NOT_TOEPLITZ,
+    ("dense", "lstsq"): NOT_TOEPLITZ,
+    ("tall-dense", "auto"): solvers._dense_solve,
+    ("tall-dense", "lstsq"): NOT_TOEPLITZ,
+}
+
+
+def direct_report(A, x, b):
+    bnorm = np.linalg.norm(b)
+    residual = float(np.linalg.norm(b - A @ x) / bnorm) if bnorm else 0.0
+    return solvers.SolveReport(0, residual, SolveFlag.CONVERGED)
+
+
+@pytest.mark.parametrize("kind, method", list(ROUTES), ids=lambda v: v)
+def test_route_is_the_public_call(kind, method):
+    A = ROUTE_OPERANDS[kind]
+    v = random_complex(np.random.default_rng(3), A.shape[1])
+    b = A @ (v if kind == "complex" else v.real)  # consistent, so the residual is small
+    want = ROUTES[kind, method]
+    if isinstance(want, tuple):
+        error, message = want
+        with pytest.raises(error, match=message):
+            solvers._solve(A, b, method)
+        return
+    x, report = solvers._solve(A, b, method, M=None, tol=1e-3, maxit=1)  # ignored
+    assert same_bits(x, want(A, b))
+    assert report == direct_report(A, x, b)
+    assert report.relative_residual <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["toeplitz", "complex", "circulant", "dense"])
+@pytest.mark.parametrize("precond", [False, True])
+def test_route_pcg_is_pcg_solve(kind, precond):
+    A = ROUTE_OPERANDS[kind]
+    M = strang(ROUTE_OPERANDS["toeplitz"]) if precond else None
+    b = np.random.default_rng(4).standard_normal(A.shape[0])
+    x, report = solvers._solve(A, b, "pcg", M=M, tol=1e-9, maxit=40)
+    want, want_report = pcg_solve(A, b, M=M, tol=1e-9, maxit=40)
+    assert same_bits(x, want) and report == want_report
+
+
+@pytest.mark.parametrize("kind, method", [key for key, want in ROUTES.items()
+                                          if not isinstance(want, tuple)]
+                         + [("toeplitz", "pcg"), ("dense", "pcg")], ids=lambda v: v)
+def test_route_of_a_zero_rhs(kind, method):
+    # CGLS (tall-cgls) used to stop at once on p = 0 and report non-convergence
+    A = ROUTE_OPERANDS[kind]
+    x, report = solvers._solve(A, np.zeros(A.shape[0]), method)
+    assert not x.any() and x.shape == (A.shape[1],)
+    assert report == solvers.SolveReport(0, 0.0, SolveFlag.CONVERGED)
+
+
+SINGULAR_SQUARE = ["tdramadah", "tprolate", "ttriw", "tphans"]  # cond_1 1.3e19 and above
+
+
+@pytest.mark.parametrize("name", SINGULAR_SQUARE)
+def test_dense_square_path_raises_when_numerically_singular(name):
+    T = smtgallery(name, 200)
+    b = T @ np.ones(200)
+    with pytest.raises(SingularMatrixError, match="numerically singular"):
+        solvers._dense_solve(T.full(), b)
+    with pytest.raises(SingularMatrixError, match="numerically singular"):
+        toep_divide(T, b, config=Config(intsolve=False))
+
+
+@pytest.mark.parametrize("name, kwargs", [("gaussian", {}), ("ttridiag", {}),
+                                          ("tkms", {"rho": 0.5})])
+def test_dense_square_path_keeps_well_conditioned_answers(name, kwargs):
+    T = smtgallery(name, 200, **kwargs)
+    b = T @ np.ones(200)
+    x = toep_divide(T, b, config=Config(intsolve=False))
+    assert same_bits(x, np.linalg.solve(T.full(), b))
+
+
 # -- result dtypes -------------------------------------------------------------
 
 

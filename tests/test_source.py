@@ -67,3 +67,49 @@ def test_ffts_are_called_through_the_numpy_fft_module():
                     f"{where} uses np.fft other than as np.fft.<name>"
                 )
                 assert path.name == "dft.py", f"{where} names np.fft outside dft.py"
+
+
+def module_imports(tree):
+    """(bound name, node) of every import at the top level of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node
+
+
+def declared_all(tree):
+    """The names listed in a module's __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_module_imports_are_used():
+    # __init__.py imports to re-export; every other module uses what it imports
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = declared_all(tree)
+        for name, node in module_imports(tree):
+            assert name in used or name in exported, (
+                f"{path.name}:{node.lineno} imports {name} and never uses it"
+            )
+
+
+def test_cli_solves_through_the_one_route():
+    # how a system is solved is decided in solvers._solve, not in the CLI;
+    # `bench` times levinson_solve and `info` reports _solver_size
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("solvers")
+                for alias in node.names}
+    assert imported <= {"_solve", "_solver_size", "levinson_solve"}, sorted(imported)
+    assert "_solve" in imported

@@ -48,23 +48,30 @@ def tracing(monkeypatch):
     return tracing
 
 
-def fft_lengths_under(tracing, name, call):
-    """Run `call` with the tracer installed; the lengths of the fft spans
-    nested anywhere under a span called `name`, in call order."""
+def spans_under(tracing, name, call):
+    """Run `call` with the tracer installed; the spans nested anywhere
+    under a span called `name`, in call order."""
     tracer = tracing.Tracer()
     try:
         tracer.install()
         call()
     finally:
         tracer.uninstall()
-    spans, lengths = tracer.spans, []
+    spans, under = tracer.spans, []
     for span in spans:
         i = span[tracing.PARENT]
         while i >= 0 and spans[i][tracing.NAME] != name:
             i = spans[i][tracing.PARENT]
-        if span[tracing.NAME] == "fft" and i >= 0:
-            lengths.append(span[tracing.INFO][0])
-    return lengths
+        if i >= 0:
+            under.append(span)
+    return under
+
+
+def fft_lengths_under(tracing, name, call):
+    """The lengths of the fft spans nested under a span called `name`
+    while `call` runs, in call order."""
+    return [span[tracing.INFO][0] for span in spans_under(tracing, name, call)
+            if span[tracing.NAME] == "fft"]
 
 
 def test_tracer_sees_every_transform(tracing):
@@ -97,3 +104,17 @@ def test_tracer_sees_every_transform(tracing):
     lengths = fft_lengths_under(tracing, "solvers.pcg",
                                 lambda: solvers.pcg_solve(banded, np.ones(64), M))
     assert set(lengths) == {64}  # the division by M; the corners are a dense block
+
+
+def test_tracer_sees_the_cli_solve_route(tracing, tmp_path, capsys):
+    # the route looks each solver up in solvers.py when it runs, so the
+    # tracer's replacement there sees the CLI's solves
+    path = str(tmp_path / "t.smt")
+    assert cli.main(["gen", "ttridiag", "64", "-o", path]) == 0
+    for argv, want in ((["--method", "pcg"], ["solvers.pcg"]),
+                       ([], ["solvers.divide", "solvers.levinson"])):
+        spans = spans_under(tracing, "cli.main",
+                            lambda: cli.main(["solve", path, "--rhs-ones", *argv]))
+        names = [span[tracing.NAME] for span in spans]
+        assert [name for name in names if name.startswith("solvers.")] == want
+    capsys.readouterr()
