@@ -8,18 +8,21 @@ on each axis (rows index np.arange(m) and columns np.arange(n)).  The
 spectrum is the full-length DFT, whose transforms and products live in
 dft.py.
 
-A derived value carries the spectrum of its operands where a cheap exact
-rule gives it, and recomputes it otherwise:
+Every derived value is built by the class's `_like` (a circulant product,
+power or inverse by `Circulant._from_spectrum`), which raises ValueError
+when its entries are not finite (an overflow) and carries the spectrum of
+its operands where a cheap exact rule gives it:
 
     alpha * X, -X     the spectrum scaled or negated
     X.T               the spectrum cyclically reversed
     X.H               the spectrum conjugated
     X + Y, X - Y      the spectra added or subtracted, when both operands
-                      carry spectra of one length; otherwise none
-    X * Y, maps       recomputed from the new entries by the class rule
-    X + scalar        the class's own rule (`_add_scalar`)
+                      carry spectra of one length
+    C + scalar        a circulant's spectrum shifted at index 0
 
-A carried Toeplitz spectrum may be none, which stays none.
+Otherwise the class rule fills it: a circulant transforms its column, and
+a Toeplitz value transforms its embedding when it was built with
+`toeprem` on, and otherwise stays lazy until its first product.
 
 Binary operators follow the promotion lattice circulant -> Toeplitz ->
 dense, and the result belongs to the least structured operand:
@@ -40,8 +43,9 @@ these hooks (`shape` defaults to the value's own; a circulant's follows
 from its data):
 
     _reversed()              the data vector of the transpose
-    _like(data, spec, shape) a value of this class that carries `spec` as is
-    _remake(data, shape)     a value whose spectrum the class rule recomputes
+    _like(data, spec, shape) a value of this class with entries `data`; a
+                             given `spec` is carried as is, and with
+                             spec=None the class rule fills it
     _spectrum()              the spectrum products use (filled on demand)
     _add_scalar(s)           X + s
     _entries(lags)           the entries on the diagonals i - j = lags
@@ -167,7 +171,7 @@ class Structured:
     def _combine(self, op, other):
         """op(self, other) for op in add/sub/mul, `other` of this class and shape."""
         if op is operator.mul:
-            return self._remake(self._data * other._data)
+            return self._like(self._data * other._data)
         a, b = self._spec, other._spec
         spec = op(a, b) if a is not None and b is not None and a.shape == b.shape else None
         return self._like(op(self._data, other._data), spec)
@@ -253,7 +257,7 @@ class Structured:
 
     def map_entries(self, tag: str):
         """Apply an elementary entrywise map (see ENTRYWISE_MAPS) to every
-        matrix entry; the result's spectrum is recomputed from its entries."""
+        matrix entry; the class rule fills the result's spectrum."""
         try:
             f = ENTRYWISE_MAPS[tag]
         except KeyError:
@@ -261,7 +265,7 @@ class Structured:
                 f"unknown entrywise map {tag!r}; expected one of "
                 f"{sorted(ENTRYWISE_MAPS)}"
             ) from None
-        return self._remake(f(self._data))
+        return self._like(f(self._data))
 
     # -- diagonals and indexing ----------------------------------------------
 

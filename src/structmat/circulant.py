@@ -7,6 +7,9 @@ DFT of c, stored at full length (see dft.py, whose kernels run every
 product and solve).  The eigenvalues are computed once at construction,
 kept coherent through every structure-preserving operation, and reused so
 that products, powers, inverses and linear solves all run in O(n log n).
+Every value's column is finite: the constructor checks its input, and a
+derived value (a product, power, inverse, map or shift) whose column
+overflows raises ValueError.
 
 Values are immutable; operations return new objects.  Circulants sit at the
 bottom of the promotion lattice (see _structured.py): circulant (op)
@@ -39,24 +42,23 @@ class Circulant(Structured):
 
     def __init__(self, col):
         c = require_finite(as_vector(col, "first column"), "first column")
-        self._data = frozen(c.copy())
-        self._spec = frozen(spectrum_of(self._data))
-        self._singular = None
+        self._fill(c.copy())
 
-    @classmethod
-    def _from_parts(cls, col, ev):
-        """Internal constructor: `ev` must already equal the DFT of col to roundoff."""
-        obj = cls.__new__(cls)
-        obj._data = frozen(np.ascontiguousarray(col))
-        obj._spec = frozen(np.ascontiguousarray(ev))
-        obj._singular = None
-        return obj
+    def _fill(self, col, ev=None):
+        """Write every slot: the one step of each constructor and of `_like`.
+        A given `ev`, which must equal the DFT of col to roundoff, is carried
+        as is; with none the column is transformed.  Returns self."""
+        self._data = frozen(np.ascontiguousarray(col))
+        self._spec = frozen(spectrum_of(self._data) if ev is None else np.ascontiguousarray(ev))
+        self._singular = None
+        return self
 
     @classmethod
     def _from_spectrum(cls, ev, real):
         """Internal constructor: the circulant whose eigenvalues are `ev`;
-        `real` says that they belong to a real column."""
-        return cls._from_parts(entries_of(ev, real), ev)
+        `real` says that they belong to a real column, which must be finite."""
+        col = require_finite(entries_of(ev, real), "first column")
+        return cls.__new__(cls)._fill(col, ev)
 
     # -- basic data ------------------------------------------------------
 
@@ -186,16 +188,13 @@ class Circulant(Structured):
     def _reversed(self):
         return cyclic_reverse(self._data)
 
-    def _like(self, data, spec, shape=None):
-        return Circulant._from_parts(data, spec)
-
-    def _remake(self, data, shape=None):
-        return Circulant(data)
+    def _like(self, data, spec=None, shape=None):
+        return Circulant.__new__(Circulant)._fill(require_finite(data, "first column"), spec)
 
     def _add_scalar(self, s):
         ev = self._spec.astype(np.result_type(self._spec, type(s)), copy=True)
         ev[0] += self.n * s  # dft of a constant shifts only the DC term
-        return Circulant._from_parts(self._data + s, ev)
+        return self._like(self._data + s, ev)
 
     # -- operators ---------------------------------------------------------
 

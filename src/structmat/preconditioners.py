@@ -2,7 +2,8 @@
 superoptimal, plus a dispatching front end with a user-extensible registry.
 
 The Strang preconditioner copies the central diagonals of a square Toeplitz
-matrix and wraps them around; it is defined only for Toeplitz input.  The
+matrix and wraps them around; it is defined for Toeplitz input, and a
+circulant, whose central diagonals are its column, is its own.  The
 optimal preconditioner is the Frobenius-norm projection of an arbitrary
 square matrix onto the circulant algebra.  The superoptimal preconditioner
 minimizes ||I - inv(C) A||_F; in the Fourier basis its eigenvalues have the
@@ -40,10 +41,10 @@ def strang(T: Toeplitz | Circulant) -> Circulant:
 
     The first column keeps the diagonals t_0..t_{floor(n/2)} and wraps
     t_{j-n} in above that; at the midpoint of an even order the "upper"
-    value t_{n/2} is taken.
+    value t_{n/2} is taken.  A circulant is returned as is.
     """
     if isinstance(T, Circulant):
-        T = T.to_toeplitz()
+        return T
     if not isinstance(T, Toeplitz):
         raise TypeError(
             "the Strang preconditioner is defined only for Toeplitz matrices"
@@ -63,10 +64,10 @@ def optimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
 
     For Toeplitz input the projection has the O(n) closed form
     c_j = (j * t_{j-n} + (n-j) * t_j) / n; dense input is averaged over the
-    n circulant-shift diagonals in O(n^2).
+    n circulant-shift diagonals in O(n^2).  A circulant is returned as is.
     """
     if isinstance(A, Circulant):
-        return Circulant._from_parts(A.col, A.ev)
+        return A
     if isinstance(A, Toeplitz):
         _require_square(A.shape, "the optimal")
         n = A.shape[0]

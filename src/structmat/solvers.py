@@ -99,6 +99,12 @@ BACKWARD_RTOL = 1e-12
 LEVINSON_LEAF = 96
 # _step_block rescales its rows when their common factor leaves this range.
 _SCALE_MIN, _SCALE_MAX = 1e-150, 1e150
+# Every Levinson refusal ends with this: the dense path needs no leading
+# minor, only T itself, to be well conditioned (see _dense_solve).
+_FALLBACK_ADVICE = (
+    "a dense factorization (intsolve off) helps when T is well conditioned "
+    "but a leading minor is not, and refuses when cond_1(T) * eps >= 1"
+)
 # toep_lstsq uses a dense QR below this column count.
 LSTSQ_DENSE_CUTOFF = 64
 # QR path flags rank deficiency when the R diagonal spans more than this.
@@ -171,9 +177,7 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     t0 = a[n - 1]
     if abs(t0) <= BREAKDOWN_RTOL * max(1.0, scale):
         raise BreakdownError(
-            "Levinson breakdown at order 1: zero leading entry; "
-            "disable the internal solver to fall back to a dense factorization"
-        )
+            f"Levinson breakdown at order 1: zero leading entry; {_FALLBACK_ADVICE}")
     f, w = _inverse_generators(a, n)
     dtype = np.result_type(a.dtype, bv.dtype, np.float64)
     bv = bv.astype(dtype, copy=False)
@@ -193,10 +197,7 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     if not (error <= BACKWARD_RTOL * bound and np.isfinite(bound)):
         cause = (f"backward error {error / bound:.1e} exceeds {BACKWARD_RTOL:.0e}"
                  if np.isfinite(bound) else "overflow in the solution")
-        raise BreakdownError(
-            f"Levinson {cause}: ill-conditioned system; disable the internal solver "
-            "to fall back to a dense factorization"
-        )
+        raise BreakdownError(f"Levinson {cause}; {_FALLBACK_ADVICE}")
     return x
 
 
@@ -303,10 +304,8 @@ def _step_block(windows, k0):
         coupling = eps * delta
         denom = 1.0 - coupling
         if abs(denom) <= BREAKDOWN_RTOL * max(1.0, abs(coupling)):
-            raise BreakdownError(
-                f"Levinson breakdown at order {k0 + s + 1}: singular leading minor; "
-                "disable the internal solver to fall back to a dense factorization"
-            )
+            raise BreakdownError(f"Levinson breakdown at order {k0 + s + 1}: "
+                                 f"singular leading minor; {_FALLBACK_ADVICE}")
         coef[0, 0] = eps
         coef[1, 0] = delta
         out = writes[(s + 1) & 1]
@@ -357,8 +356,10 @@ def toep_lstsq(T: Toeplitz, b) -> np.ndarray:
     Toeplitz products (CGLS).  Underdetermined input raises.  Only the QR
     path detects numerical rank deficiency and raises RankDeficientError;
     on rank-deficient input CGLS returns the minimum-norm solution.  CGLS
-    raises RankDeficientError when it does not converge within 5n
-    iterations, which names both causes it cannot tell apart: rank
+    raises RankDeficientError when it does not converge, at the 5n
+    iteration cap or at the first iteration whose A p is zero or not
+    finite; the message says which stopped it and after how many
+    iterations, and names both causes it cannot tell apart: rank
     deficiency, or a full-rank system too ill-conditioned for the normal
     equations (ttridiag 240 sliced to 160 columns, cond 6.8e3, does not
     converge).  That convergence failure itself is not mended.
@@ -393,10 +394,12 @@ def _cgls(T: Toeplitz, b, rtol):
     gamma = np.real(np.vdot(s, s))
     target = rtol * np.sqrt(gamma)
     maxit = 5 * n
-    for _ in range(maxit):
+    stop = "iteration cap 5n reached"
+    for k in range(1, maxit + 1):
         q = spectral_apply(spec, p, m, real)
         qq = np.real(np.vdot(q, q))
         if qq == 0.0 or not np.isfinite(qq):
+            stop = "A p is zero or not finite"
             break
         alpha = gamma / qq
         x += alpha * p
@@ -408,8 +411,9 @@ def _cgls(T: Toeplitz, b, rtol):
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
     raise RankDeficientError(
-        f"CGLS did not converge: normal-equations residual stagnated after {maxit} "
-        "iterations; the input is rank deficient or too ill-conditioned"
+        f"CGLS did not converge: {stop}; normal-equations residual stagnated after "
+        f"{k} iteration{'s' if k > 1 else ''}; the input is rank deficient or too "
+        "ill-conditioned"
     )
 
 

@@ -8,8 +8,11 @@ Matrix-vector products embed T in a circulant of order N (either the tight
 N = m + n - 1 or the next power of two, per the active embedding policy),
 pad the vector with zeros, multiply in the Fourier domain and crop the
 result.  The embedding eigenvalues are cached in the `cev` field; with the
-`toeprem` setting on (the default) they are computed when the value is
-allocated, so each product costs two transforms instead of three.  `cev`
+`toeprem` setting on (the default) every value built under it, derived
+ones included, carries them from allocation, so each product costs two
+transforms instead of three.  With it off `cev` fills on the first
+product.  The setting and the embedding policy are baked in at
+construction and pass to every derived value.  `cev`
 holds the full-length spectrum, and dft.py runs the products, at half
 length when T and the vector are both real.  `_spectrum(size)` gives the
 embedding spectrum at any order from `_exact_order()` up, which is below
@@ -22,6 +25,9 @@ written one, and duplicated fills produce identical arrays.
 
 Operators follow the promotion lattice in _structured.py: a circulant
 operand converts to Toeplitz, and @ with any Toeplitz factor is dense.
+The public constructors check their input finite once; a derived value
+(a product, map, triangle, block or shift) is checked in `_like`, so an
+overflow raises ValueError instead of leaving inf or nan entries.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ _FORBIDDEN_MSG = (
 class Toeplitz(Structured):
     """m-by-n Toeplitz matrix stored by diagonals."""
 
-    __slots__ = ("_m", "_n", "_policy", "_eager")
+    __slots__ = ("_m", "_n", "_config")
     _rank = 1
 
     def __init__(self, col, row=None, config: Config | None = None):
@@ -67,7 +73,7 @@ class Toeplitz(Structured):
                     f"{c[0]} vs {r[0]}"
                 )
         t = np.concatenate([r[:0:-1], c])
-        self._init_from_t(t, c.shape[0], r.shape[0], config)
+        self._fill(t, c.shape[0], r.shape[0], config)
 
     @classmethod
     def from_diagonals(cls, t, m: int, n: int, config: Config | None = None) -> "Toeplitz":
@@ -82,21 +88,21 @@ class Toeplitz(Structured):
                 f"diagonal vector has {tv.shape[0]} entries, expected {m + n - 1} "
                 f"for a {m}x{n} matrix"
             )
-        obj = cls.__new__(cls)
         # as_vector may return the caller's own array, which must stay writable
-        obj._init_from_t(tv.copy(), m, n, config)
-        return obj
+        return cls.__new__(cls)._fill(tv.copy(), m, n, config)
 
-    def _init_from_t(self, t, m, n, config):
-        cfg = config if config is not None else config_get()
+    def _fill(self, t, m, n, config, spec=None):
+        """Write every slot: the one step of each constructor and of `_like`.
+        `config` (None for the active one) is baked in; a given `spec` is
+        carried as is, and with none `toeprem` on transforms the embedding.
+        Returns self."""
         self._data = frozen(np.ascontiguousarray(t))
-        self._m = m
-        self._n = n
-        self._policy = cfg.embedding
-        self._eager = cfg.toeprem
-        self._spec = None
-        if self._eager:
+        self._m, self._n = m, n
+        self._config = config if config is not None else config_get()
+        self._spec = None if spec is None else frozen(np.ascontiguousarray(spec))
+        if self._config.toeprem:
             self._spectrum()
+        return self
 
     # -- basic data ------------------------------------------------------
 
@@ -111,12 +117,12 @@ class Toeplitz(Structured):
 
     @property
     def policy(self) -> EmbeddingPolicy:
-        return self._policy
+        return self._config.embedding
 
     @property
     def embed_order(self) -> int:
         """Order of the circulant embedding under the baked policy."""
-        return embedded_size(self._m, self._n, self._policy)
+        return embedded_size(self._m, self._n, self.policy)
 
     @property
     def cev(self) -> np.ndarray | None:
@@ -127,7 +133,7 @@ class Toeplitz(Structured):
         cev = "none" if self._spec is None else str(self._spec.shape[0])
         return (
             f"Toeplitz(shape={self._m}x{self._n}, dtype={self.dtype}, "
-            f"policy={self._policy.value}, cev={cev})"
+            f"policy={self.policy.value}, cev={cev})"
         )
 
     # -- embedding and products --------------------------------------------
@@ -135,7 +141,7 @@ class Toeplitz(Structured):
     def embed(self, policy: EmbeddingPolicy | None = None) -> np.ndarray:
         """First column of the circulant embedding:
         [t0, t1, ..., t[m-1], 0..., t[1-n], ..., t[-1]]."""
-        pol = self._policy if policy is None else policy
+        pol = self.policy if policy is None else policy
         return self._embedding(embedded_size(self._m, self._n, pol))
 
     def _embedding(self, size: int) -> np.ndarray:
@@ -203,14 +209,14 @@ class Toeplitz(Structured):
         t = self._data.copy()
         cut = self._n - 1 - int(k)
         t[: max(0, min(cut, t.shape[0]))] = 0
-        return self._remake(t)
+        return self._like(t)
 
     def triu(self, k: int = 0) -> "Toeplitz":
         """Keep diagonals i - j <= -k (at and above the k-th), zero the rest."""
         t = self._data.copy()
         cut = self._n - int(k)
         t[max(0, min(cut, t.shape[0])):] = 0
-        return self._remake(t)
+        return self._like(t)
 
     # -- reductions --------------------------------------------------------
 
@@ -242,28 +248,16 @@ class Toeplitz(Structured):
         return self._data[lags + (self._n - 1)]
 
     def _block(self, t, m, n):
-        return self._remake(t, (m, n))
+        return self._like(t, shape=(m, n))
 
     def _reversed(self):
         return self._data[::-1]
 
-    def _like(self, data, spec, shape=None):
-        obj = Toeplitz.__new__(Toeplitz)
-        obj._data = frozen(np.ascontiguousarray(data))
-        obj._m, obj._n = self.shape if shape is None else shape
-        obj._policy = self._policy
-        obj._eager = self._eager
-        obj._spec = None if spec is None else frozen(np.ascontiguousarray(spec))
-        return obj
-
-    def _remake(self, data, shape=None):
-        # the spectrum is recomputed per the eagerness baked at construction
-        out = self._like(data, None, shape)
-        if out._eager:
-            out._spectrum()
-        return out
+    def _like(self, data, spec=None, shape=None):
+        m, n = self.shape if shape is None else shape
+        return Toeplitz.__new__(Toeplitz)._fill(
+            require_finite(data, "diagonal vector"), m, n, self._config, spec)
 
     def _add_scalar(self, s):
-        # every entry sits on some diagonal, so shift the whole vector;
-        # the spectrum is refilled lazily on the next product
-        return self._like(self._data + s, None)
+        # every entry sits on some diagonal, so shift the whole vector
+        return self._like(self._data + s)

@@ -121,7 +121,7 @@ def test_criterion_4_preconditioner_optimality():
         eye = np.eye(10)
 
         def objective(lam):
-            C = Circulant._from_parts(np.fft.ifft(lam), lam)
+            C = Circulant._from_spectrum(lam, real=False)
             return float(np.sum(np.abs(eye - C.solve(A)) ** 2))
 
         lam0 = S.ev.copy()

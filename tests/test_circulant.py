@@ -10,6 +10,7 @@ from structmat import (
     EmbeddingPolicy,
     SingularMatrixError,
     Toeplitz,
+    config_set,
     dft,
 )
 from structmat.circulant import SINGULARITY_RTOL
@@ -312,13 +313,55 @@ ALGEBRA_OPS = {
     "neg": lambda A, B: -A,
     "scale": lambda A, B: 2.5j * A,
     "add_scalar": lambda A, B: A + (1.5 - 2j),
+    "sub_scalar": lambda A, B: A - (0.5 + 1j),
     "transpose": lambda A, B: A.T,
     "adjoint": lambda A, B: A.H,
     "elementwise": lambda A, B: A * B,
+    "map_entries": lambda A, B: A.map_entries("abs"),
+    "tril": lambda A, B: A.tril(1),
+    "triu": lambda A, B: A.triu(-1),
+    "slice": lambda A, B: A[1:, :-1],
     "mul": lambda A, B: A @ B,
     "inv": lambda A, B: A.inv(),
     "pow": lambda A, B: A ** 2,
 }
+
+# the operations that mean the same on the dense matrices
+DENSE_ALIKE = ("add", "sub", "neg", "scale", "add_scalar", "sub_scalar", "transpose",
+               "elementwise", "slice", "mul")
+
+# the same operations, made to overflow: H has an entry 1.5e308 (1 + 1j),
+# so doubling it, squaring it or taking its modulus leaves the doubles;
+# the rest (a sign, a transpose, a selection of entries) cannot overflow
+OVERFLOWS = {
+    "add": lambda H: H + H,
+    "sub": lambda H: H - (-H),
+    "scale": lambda H: 1e300 * H,
+    "add_scalar": lambda H: H + 1.5e308,
+    "sub_scalar": lambda H: H - (-1.5e308),
+    "elementwise": lambda H: H * H,
+    "map_entries": lambda H: H.map_entries("abs"),
+    "mul": lambda H: H @ H,
+    "inv": lambda H: Circulant([1e-310, 0.0]).inv(),  # 1 / 1e-310 overflows
+    "pow": lambda H: H ** 2,
+}
+
+
+def _operands(kind, rng, toeprem):
+    if kind == "circulant":
+        return Circulant(random_complex(rng, 12)), Circulant(random_complex(rng, 12))
+    # a tall shape, so the transposes must swap it
+    first = EmbeddingPolicy.TIGHT if kind == "tight-pow2" else EmbeddingPolicy.POW2
+    return tuple(Toeplitz.from_diagonals(random_complex(rng, 11), 7, 5,
+                                         config=Config(embedding=p, toeprem=toeprem))
+                 for p in (first, EmbeddingPolicy.POW2))
+
+
+def _assert_coherent(out):
+    # a carried spectrum must equal the transform of the value's own entries
+    spec, data = (out.ev, out.col) if isinstance(out, Circulant) else (out.cev, out.embed())
+    tol = 1e-11 * max(1.0, np.max(np.abs(data)))
+    assert np.max(np.abs(spec - dft(data))) <= tol
 
 
 @pytest.mark.parametrize("kind, op", [
@@ -329,28 +372,33 @@ ALGEBRA_OPS = {
     *(pytest.param("tight-pow2", op, id=f"tight-pow2-{op}") for op in ("add", "sub")),
 ])
 def test_algebra_closure_and_cache_coherence(kind, op):
-    # a carried spectrum must equal the transform of the result's own entries
+    # every derived value comes out of _like: its entries are finite, and
+    # under toeprem every Toeplitz one carries its spectrum
     rng = np.random.default_rng(zlib.crc32(op.encode()))  # str hash() is salted per process
-    if kind == "circulant":
-        A, B = Circulant(random_complex(rng, 12)), Circulant(random_complex(rng, 12))
-    else:  # a tall shape, so the transposes must swap it
-        first = EmbeddingPolicy.TIGHT if kind == "tight-pow2" else EmbeddingPolicy.POW2
-        A, B = (Toeplitz.from_diagonals(random_complex(rng, 11), 7, 5, config=Config(embedding=p))
-                for p in (first, EmbeddingPolicy.POW2))
+    A, B = _operands(kind, rng, toeprem=True)
     out = ALGEBRA_OPS[op](A, B)
-    assert type(out) is type(A)
-    if kind == "circulant":
-        spec, data = out.ev, out.col
-    else:
-        # a scalar shift, or operands that embed at different orders, leave
-        # the spectrum to the next product
-        if op == "add_scalar" or kind == "tight-pow2":
-            assert out.cev is None
-            assert rel_err(out.full(), ALGEBRA_OPS[op](A.full(), B.full())) <= 1e-13
-            return
-        spec, data = out.cev, out.embed()
-    tol = 1e-11 * max(1.0, np.max(np.abs(data)))
-    assert np.max(np.abs(spec - dft(data))) <= tol
+    # a triangle or a strict block of a circulant is Toeplitz
+    assert type(out) is (Toeplitz if op in ("tril", "triu", "slice") else type(A))
+    _assert_coherent(out)
+    if op in DENSE_ALIKE:
+        assert rel_err(out.full(), ALGEBRA_OPS[op](A.full(), B.full())) <= 1e-13
+
+    # with toeprem off a Toeplitz result stays lazy until a product fills it
+    config_set("toeprem", "off")  # for the Toeplitz values a circulant converts to
+    A, B = _operands(kind, rng, toeprem=False)
+    out = ALGEBRA_OPS[op](A, B)
+    if isinstance(out, Toeplitz):
+        assert out.cev is None
+        out @ np.ones(out.shape[1])
+    _assert_coherent(out)
+
+    if op in OVERFLOWS:
+        big = np.array([1.0, 1.5e308 * (1 + 1j), 2.0])
+        with np.errstate(all="ignore"):  # H's own spectrum may overflow
+            H = (Circulant(big) if kind == "circulant"
+                 else Toeplitz.from_diagonals(big, 2, 2))
+            with pytest.raises(ValueError, match="non-finite"):
+                OVERFLOWS[op](H)
 
 
 def test_solve_matvec_round_trip():

@@ -277,7 +277,7 @@ def test_solve_levinson_overflow_exit_code(tmp_path, capsys):
     run(capsys, "gen", "ttriw", "2000", "-o", str(mat))
     code, _, err = run(capsys, "solve", str(mat), "--rhs-ones", "--method", "levinson")
     assert code == EXIT_NUMERICAL
-    assert err.startswith("error: BreakdownError: Levinson overflow in the solution: ")
+    assert err.startswith("error: BreakdownError: Levinson overflow in the solution; ")
     assert err.count("\n") == 1
 
 
@@ -458,6 +458,31 @@ def test_solve_square_dense_agrees_with_lapack(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "solve", "A.smt", "b.smt", "-o", "x.smt")
     assert code == EXIT_OK and report_dict(stdout)["flag"] == "converged"
     assert rel_err(read_matrix("x.smt"), np.linalg.solve(A, b)) <= 1e-15
+
+
+def test_levinson_refusal_says_when_the_dense_fallback_helps(tmp_path, capsys, monkeypatch):
+    # Levinson refuses both systems and gives one advice.  Only the second,
+    # cond_1 9 with a leading entry of 1e-11, is solved by the dense path;
+    # tdramadah 60 (cond_1 8.7e15) is refused there too, as the advice says
+    from structmat import write_matrix
+    from structmat.solvers import _FALLBACK_ADVICE
+
+    monkeypatch.chdir(tmp_path)
+    write_matrix("d.smt", smtgallery("tdramadah", 60))
+    T = Toeplitz([1e-11, 1, 0.3], [1e-11, 0.5, 0.2])
+    write_matrix("m.smt", T)
+    write_matrix("b.smt", T @ np.ones(3))
+    assert "when cond_1(T) * eps >= 1" in _FALLBACK_ADVICE
+    for args in (["d.smt", "--rhs-ones"], ["m.smt", "b.smt"]):
+        code, _, err = run(capsys, "solve", *args)
+        assert code == EXIT_NUMERICAL
+        assert re.fullmatch(rf"error: BreakdownError: Levinson backward error \S+ exceeds "
+                            rf"1e-12; {re.escape(_FALLBACK_ADVICE)}\n", err)
+    code, _, err = run(capsys, "solve", "d.smt", "--rhs-ones", "--no-intsolve")
+    assert code == EXIT_NUMERICAL
+    assert err == "error: SingularMatrixError: numerically singular: condition number 8.7e+15\n"
+    code, _, _ = run(capsys, "solve", "m.smt", "b.smt", "--no-intsolve", "-o", "x.smt")
+    assert code == EXIT_OK and rel_err(read_matrix("x.smt"), np.ones(3)) <= 1e-15
 
 
 @pytest.mark.parametrize("name, param", [("ttoeppd", "m=1e400"), ("tgrcar", "k=1e400")])

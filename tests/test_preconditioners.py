@@ -18,7 +18,7 @@ from structmat import (
 
 from structmat.preconditioners import _gram_projection_ev
 
-from conftest import dense_circulant, random_complex, rel_err
+from conftest import dense_circulant, random_complex, rel_err, same_bits
 
 
 def shift_basis(n):
@@ -79,6 +79,18 @@ def test_strang_of_a_circulant_is_itself(col):
     got = strang(C)
     assert isinstance(got, Circulant)
     assert np.array_equal(got.col, C.col)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 64])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_strang_returns_its_circulant_input(n, complex_entries):
+    # the Toeplitz route copies the column and transforms it to the same bits,
+    # so strang hands a circulant back as optimal and superoptimal do
+    rng = np.random.default_rng(n)
+    C = Circulant(random_complex(rng, n) if complex_entries else rng.standard_normal(n))
+    assert strang(C) is C and optimal(C) is C and superoptimal(C) is C
+    via = strang(C.to_toeplitz())
+    assert same_bits(via.col, C.col) and same_bits(via.ev, C.ev)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 13])
@@ -199,7 +211,7 @@ def test_superoptimal_local_minimality_perturbation_scan():
         for direction in (1.0, -1.0, 1.0j, -1.0j):
             ev = S.ev.copy()
             ev[i] += 1e-4 * direction * max(1.0, abs(ev[i]))
-            perturbed = Circulant._from_parts(np.fft.ifft(ev), ev)
+            perturbed = Circulant._from_spectrum(ev, real=False)
             assert frob2_identity_residual(perturbed, A) >= base - 1e-9
 
 

@@ -67,8 +67,7 @@ def test_levinson_breakdown_on_singular_leading_minor():
         (smtgallery("tchow", 12), 2, "singular leading minor"),
         (smtgallery("ttoeppen", 8), 1, "zero leading entry"),  # its main diagonal is 0
     ]:
-        message = (f"Levinson breakdown at order {order}: {cause}; disable the internal "
-                   "solver to fall back to a dense factorization")
+        message = f"Levinson breakdown at order {order}: {cause}; {solvers._FALLBACK_ADVICE}"
         with pytest.raises(BreakdownError, match=f"^{re.escape(message)}$"):
             levinson_solve(T, np.ones(T.shape[0]))
 
@@ -89,7 +88,7 @@ def test_levinson_certificate_rejects_ill_conditioned_systems():
         T = smtgallery(name, n)
         for b in (T @ np.ones(n), np.ones(n)):
             with pytest.raises(BreakdownError, match=r"^Levinson backward error \S+ exceeds "
-                               r"1e-12: ill-conditioned system; disable the internal solver"):
+                               rf"1e-12; {re.escape(solvers._FALLBACK_ADVICE)}$"):
                 levinson_solve(T, b)
 
 
@@ -99,8 +98,8 @@ def test_levinson_overflow_raises_a_typed_error(n):
     # products overflow, and near n = 1030 the order steps too.  Tier 1 turns
     # any numpy warning into an error, so this also checks that none leaks.
     T = smtgallery("ttriw", n)
-    with pytest.raises(BreakdownError, match=r"^Levinson overflow in the solution: "
-                       r"ill-conditioned system; disable the internal solver"):
+    with pytest.raises(BreakdownError, match=r"^Levinson overflow in the solution; "
+                       rf"{re.escape(solvers._FALLBACK_ADVICE)}$"):
         levinson_solve(T, T @ np.ones(n))
 
 
@@ -852,6 +851,23 @@ def test_cgls_names_non_convergence():
     with pytest.raises(RankDeficientError,
                        match="CGLS did not converge: .* stagnated after 800 iterations; "
                              "the input is rank deficient or too ill-conditioned"):
+        toep_lstsq(T, b)
+
+
+@pytest.mark.parametrize("case", ["zero", "cap"])
+def test_cgls_says_what_stopped_it(case):
+    # both ways out of the loop without convergence: A p = 0 on the zero
+    # matrix at the first iteration, and the 5n cap on the ttridiag slice
+    if case == "zero":
+        T, b = Toeplitz.from_diagonals(np.zeros(279), 200, 80), np.ones(200)
+        stop, ran = "A p is zero or not finite", "1 iteration"
+    else:
+        T = smtgallery("ttridiag", 240)[:, :160]
+        b = random_complex(np.random.default_rng(0), 240)
+        stop, ran = "iteration cap 5n reached", "800 iterations"
+    message = (f"CGLS did not converge: {stop}; normal-equations residual stagnated after "
+               f"{ran}; the input is rank deficient or too ill-conditioned")
+    with pytest.raises(RankDeficientError, match=f"^{re.escape(message)}$"):
         toep_lstsq(T, b)
 
 

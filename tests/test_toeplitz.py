@@ -222,7 +222,8 @@ def test_add_combines_caches():
     assert out.cev is not None
     assert np.allclose(out.cev, A.cev + B.cev, atol=1e-13)
     shifted = A + 1.0
-    assert shifted.cev is None  # scalar shift defers to the next product
+    # toeprem fills the shifted value's spectrum at once
+    assert np.allclose(shifted.cev, np.fft.fft(shifted.embed()), atol=1e-12)
     assert np.allclose(shifted @ np.ones(4), A @ np.ones(4) + 4.0, atol=1e-12)
 
 
