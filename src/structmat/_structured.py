@@ -30,7 +30,9 @@ dense, and the result belongs to the least structured operand:
     X (op) scalar   -> class of X   (scalars act neutrally)
     X (op) ndarray  -> ndarray      (X densifies)
     X (op) Y        -> class of the operand with the higher `_rank` (the
-                       more structured operand converts with to_toeplitz)
+                       more structured operand converts through the other's
+                       `_like`, so a Toeplitz operand's settings carry over
+                       whichever side it is on)
 
 for the elementwise +, - and *.  The matrix product @ leaves the lattice:
 only circulant @ circulant stays structured, and any Toeplitz factor makes
@@ -160,12 +162,13 @@ class Structured:
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionMismatchError(f"shapes disagree: {self.shape} vs {other.shape}")
-        a, b = self, other
-        # Toeplitz is the only class above circulant
+        # Toeplitz is the only class above circulant; the circulant converts
+        # under the Toeplitz operand's settings, whichever side it is on
+        a, b, n = self, other, self.shape[0]  # a circulant operand makes both square
         if a._rank < b._rank:
-            a = a.to_toeplitz()
+            a = b._like(a._entries(np.arange(1 - n, n)))
         elif b._rank < a._rank:
-            b = b.to_toeplitz()
+            b = a._like(b._entries(np.arange(1 - n, n)))
         return a._combine(op, b)
 
     def _combine(self, op, other):

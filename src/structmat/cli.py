@@ -33,7 +33,7 @@ from .errors import (
     StructmatError,
     UnderdeterminedError,
 )
-from .fileio import read_matrix, write_matrix
+from .fileio import _layout, read_matrix, write_matrix
 from .gallery import GALLERY_NAMES, smtgallery
 from .preconditioners import smtcprec
 from .solvers import _solve, _solver_size, levinson_solve
@@ -161,14 +161,8 @@ def _print_fields(fields) -> None:
 
 
 def _describe(obj) -> tuple[str, str]:
-    if isinstance(obj, Circulant):
-        return "circulant", f"{obj.n}x{obj.n}"
-    if isinstance(obj, Toeplitz):
-        return "toeplitz", f"{obj.shape[0]}x{obj.shape[1]}"
-    arr = np.asarray(obj)
-    if arr.ndim == 1:
-        return "vector", f"{arr.shape[0]}"
-    return "dense", f"{arr.shape[0]}x{arr.shape[1]}"
+    """The kind of `obj` in the file format and its shape, as `MxN` or `N`."""
+    return _layout(obj)[0], "x".join(map(str, obj.shape))
 
 
 # -- commands --------------------------------------------------------------

@@ -2,14 +2,21 @@
 
 Format: a header line
 
-    smt <circulant|toeplitz|dense|vector> <dims...>
+    smt <kind> <dims...>
 
 followed by one entry per line as `<re> <im>`, printed with 17 significant
-decimal digits so finite doubles round-trip bit-exactly.  Bodies are the
-first column for circulants (n lines), the diagonal vector in increasing
-diagonal order for Toeplitz (m+n-1 lines), row-major entries for dense
-(rows*cols lines) and the entries for vectors (n lines).  Circulant and
-Toeplitz bodies must be finite; dense and vector bodies may hold inf/nan.
+decimal digits so finite doubles round-trip bit-exactly.  `_FORMATS` states
+the rule of each kind once; writer, reader and the CLI's report use it:
+
+    kind        dims    body lines   body holds
+    circulant   n       n            the first column
+    toeplitz    m n     m+n-1        the diagonal vector, in increasing
+                                     diagonal order
+    dense       m n     m*n          the entries, row-major
+    vector      n       n            the entries
+
+Circulant and Toeplitz bodies must be finite; dense and vector bodies may
+hold inf/nan.
 
 Each body is one bulk operation.  Writing makes a single `%` format call
 over all entries; the imaginary field of a non-complex array is always
@@ -22,6 +29,7 @@ so the format and the error messages are those of a line-by-line reader.
 
 from __future__ import annotations
 
+import operator
 import os
 
 import numpy as np
@@ -32,7 +40,28 @@ from .toeplitz import Toeplitz
 
 __all__ = ["write_matrix", "read_matrix", "KINDS"]
 
-KINDS = ("circulant", "toeplitz", "dense", "vector")
+# kind -> (number of header dimensions, body length from the dimensions,
+# value from the body entries and the dimensions)
+_FORMATS = {
+    "circulant": (1, lambda n: n, lambda col, n: Circulant(col)),
+    "toeplitz": (2, lambda m, n: m + n - 1, Toeplitz.from_diagonals),
+    "dense": (2, operator.mul, lambda entries, m, n: entries.reshape(m, n)),
+    "vector": (1, lambda n: n, lambda entries, n: entries),
+}
+KINDS = tuple(_FORMATS)
+
+
+def _layout(value):
+    """(kind, header dimensions, body entries) of a Circulant, Toeplitz,
+    2-d array (dense) or 1-d array (vector)."""
+    if isinstance(value, Circulant):
+        return "circulant", (value.n,), value.col
+    if isinstance(value, Toeplitz):
+        return "toeplitz", value.shape, value.t
+    arr = np.asarray(value)
+    if arr.ndim not in (1, 2):
+        raise TypeError(f"cannot serialize object of type {type(value).__name__}")
+    return ("vector", "dense")[arr.ndim - 1], arr.shape, arr
 
 
 def _body(values) -> str:
@@ -50,25 +79,9 @@ def _body(values) -> str:
 def write_matrix(path, value) -> None:
     """Serialize a Circulant, Toeplitz, 2-d array (dense) or 1-d array
     (vector) to `path`."""
-    if isinstance(value, Circulant):
-        header = f"smt circulant {value.n}"
-        body = _body(value.col)
-    elif isinstance(value, Toeplitz):
-        m, n = value.shape
-        header = f"smt toeplitz {m} {n}"
-        body = _body(value.t)
-    else:
-        arr = np.asarray(value)
-        if arr.ndim == 1:
-            header = f"smt vector {arr.shape[0]}"
-            body = _body(arr)
-        elif arr.ndim == 2:
-            header = f"smt dense {arr.shape[0]} {arr.shape[1]}"
-            body = _body(arr)
-        else:
-            raise TypeError(f"cannot serialize object of type {type(value).__name__}")
+    kind, dims, entries = _layout(value)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n" + body)
+        fh.write(f"smt {kind} {' '.join(map(str, dims))}\n" + _body(entries))
 
 
 def _parse_entry(line: str, lineno: int) -> complex:
@@ -125,7 +138,7 @@ def read_matrix(path):
             f"{lines[0].strip()!r}"
         )
     kind = tokens[1]
-    if kind not in KINDS:
+    if kind not in _FORMATS:
         raise MatrixFileError(
             f"line 1: unknown kind {kind!r}; expected one of {', '.join(KINDS)}"
         )
@@ -136,16 +149,13 @@ def read_matrix(path):
     if any(d < 1 for d in dims):
         raise MatrixFileError(f"line 1: dimensions must be positive, got {dims}")
 
-    if kind in ("circulant", "vector"):
-        if len(dims) != 1:
-            raise MatrixFileError(f"line 1: {kind} takes one dimension, got {dims}")
-        expected = dims[0]
-    else:
-        if len(dims) != 2:
-            raise MatrixFileError(f"line 1: {kind} takes two dimensions, got {dims}")
-        m, n = dims
-        expected = m + n - 1 if kind == "toeplitz" else m * n
-
+    ndims, length, build = _FORMATS[kind]
+    if len(dims) != ndims:
+        raise MatrixFileError(
+            f"line 1: {kind} takes {('one dimension', 'two dimensions')[ndims - 1]}, "
+            f"got {dims}"
+        )
+    expected = length(*dims)
     body = lines[1:]
     if len(body) != expected:
         raise MatrixFileError(
@@ -155,14 +165,7 @@ def read_matrix(path):
     values = _parse_body(body)
     if np.all(values.imag == 0.0):
         values = values.real
-
     try:
-        if kind == "circulant":
-            return Circulant(values)
-        if kind == "toeplitz":
-            return Toeplitz.from_diagonals(values, m, n)
-    except ValueError as exc:  # non-finite entries
+        return build(values, *dims)
+    except ValueError as exc:  # non-finite circulant or Toeplitz entries
         raise MatrixFileError(f"{os.fspath(path)}: {exc}") from None
-    if kind == "dense":
-        return values.reshape(m, n)
-    return values

@@ -526,7 +526,7 @@ def pcg_solve(
     is never built.  The true residual is b - (M x + (T - M) x).  A cycle
     is accurate to about eps cond(M).
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails this too
         raise ValueError(f"tol must be positive, got {tol}")
     order = _order(apply_A)
     bv = as_vector(b, "right-hand side") if order is None else _rhs(b, order)

@@ -210,6 +210,15 @@ def test_solve_pcg_with_strang(tmp_path, capsys):
     assert float(fields["relative_residual"]) <= 1e-8
 
 
+def test_solve_pcg_nan_tol_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "T.smt"
+    assert main(["gen", "tkms", "8", "-o", str(path)]) == EXIT_OK
+    code, _, err = run(capsys, "solve", str(path), "--rhs-ones", "--method", "pcg",
+                       "--tol", "nan")
+    assert code == EXIT_USAGE
+    assert "tol must be positive, got nan" in err
+
+
 def test_solve_pcg_with_precond_file(tmp_path, capsys, monkeypatch):
     # gen -> precond -> solve: the written circulant is read back, not rebuilt
     mat, prec = tmp_path / "g.smt", tmp_path / "c.smt"

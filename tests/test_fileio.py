@@ -141,6 +141,50 @@ def test_header_layout(tmp_path):
     assert lines[1].split() == ["1", "0"]
 
 
+# (kind, header dimensions, body lines, shape); 1x1, prime, wide and tall
+KIND_CASES = [
+    ("circulant", (1,), 1, (1, 1)),
+    ("circulant", (7,), 7, (7, 7)),
+    ("toeplitz", (1, 1), 1, (1, 1)),
+    ("toeplitz", (7, 7), 13, (7, 7)),
+    ("toeplitz", (2, 3), 4, (2, 3)),
+    ("toeplitz", (3, 2), 4, (3, 2)),
+    ("dense", (1, 1), 1, (1, 1)),
+    ("dense", (2, 3), 6, (2, 3)),
+    ("dense", (3, 2), 6, (3, 2)),
+    ("vector", (1,), 1, (1,)),
+    ("vector", (7,), 7, (7,)),
+]
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("kind, dims, lines, shape", KIND_CASES)
+def test_each_kind_header_info_and_roundtrip(tmp_path, capsys, kind, dims, lines, shape,
+                                             is_complex):
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(lines)
+    if is_complex:
+        x = x + 1j * rng.standard_normal(lines)
+    if kind == "circulant":
+        value, stored = Circulant(x), x
+    elif kind == "toeplitz":
+        value, stored = Toeplitz.from_diagonals(x, *dims), x
+    else:
+        value = stored = x.reshape(shape)
+    path = tmp_path / "m.smt"
+    write_matrix(path, value)
+    text = path.read_text().splitlines()
+    assert text[0] == f"smt {kind} {' '.join(map(str, dims))}"
+    assert len(text) == 1 + lines
+    assert main(["info", str(path)]) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert report[:2] == [f"type: {kind}", f"dims: {'x'.join(map(str, shape))}"]
+    back = read_matrix(path)
+    assert type(back) is type(value) and back.shape == shape
+    data = back.col if kind == "circulant" else back.t if kind == "toeplitz" else back
+    assert same_bits(data, stored)
+
+
 def test_truncated_file_reports_missing_lines(tmp_path):
     path = tmp_path / "bad.smt"
     path.write_text("smt toeplitz 4 4\n1 0\n2 0\n3 0\n")

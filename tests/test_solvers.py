@@ -304,6 +304,9 @@ def test_pcg_validation_and_operator_forms():
     A = Circulant([4.0, 1.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         pcg_solve(A, b, tol=0.0)
+    T = smtgallery("tkms", 200)
+    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+        pcg_solve(T, np.ones(200), tol=float("nan"))
     with pytest.raises(ValueError):
         pcg_solve(A, b, maxit=0)
     dense = A.full()

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,24 @@ def test_add():
     assert np.allclose(S2.full(), S.full(), atol=1e-13)
     with pytest.raises(DimensionMismatchError):
         T + Toeplitz([1, 2])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("active_toeprem", [True, False])
+@pytest.mark.parametrize("policy", [EmbeddingPolicy.TIGHT, EmbeddingPolicy.POW2])
+def test_mixed_circulant_toeplitz_keeps_the_toeplitz_settings(op, active_toeprem, policy):
+    # the active settings differ from T's in both keys, so the result shows
+    # whose settings it took, on either side of the operator
+    other = EmbeddingPolicy.POW2 if policy is EmbeddingPolicy.TIGHT else EmbeddingPolicy.TIGHT
+    config_set("toeprem", active_toeprem)
+    config_set("embedding", other.value)
+    T = Toeplitz([4.0, 1.0, 0.5], config=Config(toeprem=not active_toeprem, embedding=policy))
+    C = Circulant([1.0, 0.2, 0.2])
+    for S, ref in ((op(C, T), op(C.full(), T.full())), (op(T, C), op(T.full(), C.full()))):
+        assert isinstance(S, Toeplitz)
+        assert S.policy is policy
+        assert (S.cev is not None) is (not active_toeprem)
+        assert rel_err(S.full(), ref) <= 1e-15
 
 
 def test_add_combines_caches():
