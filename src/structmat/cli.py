@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fileio import _layout, read_matrix, write_matrix
 from .gallery import GALLERY_NAMES, smtgallery
-from .preconditioners import smtcprec
+from .preconditioners import _registered, smtcprec
 from .solvers import _solve, _solver_size, levinson_solve
 from .toeplitz import Toeplitz
 
@@ -75,10 +75,6 @@ _GEN_OPTIONS = {
     "delta": (float, "tchow diagonal shift"),
     "k": (int, "band count / pattern variant"),
 }
-
-# `solve --precond` names: these build the preconditioner from the matrix;
-# any other value except "none" is read as a circulant file.
-_PRECOND_KINDS = ("strang", "optimal", "superoptimal")
 
 # Benchmarked operations: kind -> (fast, dense), called as op(T, x) on a
 # Toeplitz and as op(A, x) on its dense matrix.
@@ -212,11 +208,12 @@ def run_precond(args) -> int:
 
 def _preconditioner(name, A) -> Circulant | None:
     """The circulant that `solve --precond NAME` asks for: None for "none",
-    built from `A` for a kind name, otherwise read from the file NAME, which
-    must hold a circulant of A's order."""
+    built from `A` for a kind `precond` accepts (a registered kind, in any
+    case), otherwise read from the file NAME, which must hold a circulant of
+    A's order."""
     if name == "none":
         return None
-    if name in _PRECOND_KINDS:
+    if _registered(name):
         return smtcprec(name, A)
     M = read_matrix(name)
     if not isinstance(M, Circulant):
@@ -390,9 +387,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["auto", "levinson", "pcg", "lstsq"],
                    default="auto")
     p.add_argument("--precond", default="none", metavar="KIND|FILE",
-                   help="circulant preconditioner for pcg: none, "
-                   f"{', '.join(_PRECOND_KINDS)}, or a circulant file (give a file "
-                   "named like a kind as ./NAME)")
+                   help="circulant preconditioner for pcg: none, a kind as for "
+                   "precond (strang, optimal, superoptimal or a registered kind), "
+                   "or a circulant file (give a file named like a kind as ./NAME)")
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--maxit", type=int, default=None)
     p.add_argument("-o", "--output", help="write the solution vector here")

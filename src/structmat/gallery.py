@@ -1,14 +1,17 @@
 """Named test-matrix generators returning structured values.
 
-Every generator returns a Circulant or Toeplitz object.  Random generators
-accept a `seed` and are bit-reproducible for a fixed seed (numpy PCG64);
-the `complex` flag requests complex entries where it applies.  Decay rates
-and band values are explicit parameters with documented defaults.
+Every generator returns a Circulant or Toeplitz object, and its signature
+is its whole entry in the gallery: one positional order, or two (m, n) for
+a rectangular generator, and its options as keyword-only parameters, each
+with a default.  Random generators accept a `seed` and are bit-reproducible
+for a fixed seed (numpy PCG64); the `complex` flag requests complex entries
+where it applies.  An extreme value of a float option prints no numpy
+warning: the matrix comes out finite or its constructor raises one
+ValueError.
 """
 
 from __future__ import annotations
 
-import inspect
 import warnings
 
 import numpy as np
@@ -20,30 +23,30 @@ from .toeplitz import Toeplitz
 __all__ = ["smtgallery", "GALLERY_NAMES"]
 
 
-def _square_size(size, name):
-    if isinstance(size, (tuple, list)):
-        if len(size) == 1:
-            size = size[0]
-        else:
-            raise ValueError(f"{name!r} generates square matrices, got size {size}")
-    n = int(size)
-    if n < 1:
-        raise ValueError(f"size must be positive, got {n}")
-    return n
+def _dims(size, name, count):
+    """The `count` positive dimensions of `size`: an int or a 1-tuple gives
+    the order of a square matrix, and a pair (m, n) its two dimensions."""
+    dims = tuple(size) if isinstance(size, (tuple, list)) else (size,)
+    if len(dims) == 1:
+        dims *= count
+    if len(dims) != count:
+        shape = "square" if count == 1 else "m-by-n"
+        raise ValueError(f"{name!r} generates {shape} matrices, got size {size}")
+    dims = tuple(int(d) for d in dims)
+    if min(dims) < 1:
+        raise ValueError(f"dimensions must be positive, got {'x'.join(map(str, dims))}")
+    return dims
 
-def _rect_size(size):
-    if isinstance(size, (tuple, list)):
-        if len(size) == 1:
-            m = n = int(size[0])
-        elif len(size) == 2:
-            m, n = int(size[0]), int(size[1])
-        else:
-            raise ValueError(f"expected one or two dimensions, got {size}")
-    else:
-        m = n = int(size)
-    if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be positive, got {m}x{n}")
-    return m, n
+
+def _banded(n, diagonals):
+    """The order-n Toeplitz matrix with diagonals[lag] on each lag = i - j
+    that fits, and zeros elsewhere."""
+    t = np.zeros(2 * n - 1)
+    for lag, value in diagonals.items():
+        value = float(value)
+        if abs(lag) < n:
+            t[n - 1 + lag] = value
+    return Toeplitz.from_diagonals(t, n, n)
 
 
 def _random_values(seed, count, normal, want_complex):
@@ -98,26 +101,13 @@ def _gen_tkms(n, *, rho=0.5):
 
 def _gen_ttridiag(n, *, c=-1.0, d=2.0, e=-1.0):
     # c, d, e: sub-, main and superdiagonal
-    c, d, e = float(c), float(d), float(e)
-    t = np.zeros(2 * n - 1)
-    t[n - 1] = d
-    if n > 1:
-        t[n] = c
-        t[n - 2] = e
-    return Toeplitz.from_diagonals(t, n, n)
+    return _banded(n, {1: c, 0: d, -1: e})
 
 
 def _gen_ttoeppen(n, *, a=1.0, b=-10.0, c=0.0, d=10.0, e=1.0):
     # a, b: second and first subdiagonal; c: diagonal; d, e: first and
     # second superdiagonal
-    a, b, c, d, e = float(a), float(b), float(c), float(d), float(e)
-    t = np.zeros(2 * n - 1)
-    mid = n - 1
-    t[mid] = c
-    for off, val in ((1, b), (2, a), (-1, d), (-2, e)):
-        if 0 <= mid + off < t.shape[0] and abs(off) < n:
-            t[mid + off] = val
-    return Toeplitz.from_diagonals(t, n, n)
+    return _banded(n, {2: a, 1: b, 0: c, -1: d, -2: e})
 
 
 def _gen_ttoeppd(n, *, m=None, seed=None, weights=None, theta=None):
@@ -233,38 +223,15 @@ def _gen_tphans(n):
     return Toeplitz(col)
 
 
-_GENERATORS = {
-    "algdec": _gen_algdec,
-    "crrand": _gen_crrand,
-    "crrandn": _gen_crrandn,
-    "expdec": _gen_expdec,
-    "gaussian": _gen_gaussian,
-    "tchow": _gen_tchow,
-    "tdramadah": _gen_tdramadah,
-    "tgrcar": _gen_tgrcar,
-    "tkms": _gen_tkms,
-    "tparter": _gen_tparter,
-    "tphans": _gen_tphans,
-    "tprand": _gen_tprand,
-    "tprandn": _gen_tprandn,
-    "tprolate": _gen_tprolate,
-    "ttoeppd": _gen_ttoeppd,
-    "ttoeppen": _gen_ttoeppen,
-    "ttridiag": _gen_ttridiag,
-    "ttriw": _gen_ttriw,
-}
-_RECTANGULAR = ("tprand", "tprandn")  # every other generator is square
+# Each `_gen_<name>` function above is the generator `name`.
+_GENERATORS = {key.removeprefix("_gen_"): gen for key, gen in globals().items()
+               if key.startswith("_gen_")}
 
 GALLERY_NAMES = tuple(sorted(_GENERATORS))
 
-# A generator takes its order positionally and its options as keyword-only
-# parameters.  Their names are read once here: inspecting a signature costs
-# about as much as a small generator call.
-_PARAMS = {
-    name: frozenset(p.name for p in inspect.signature(gen).parameters.values()
-                    if p.kind is p.KEYWORD_ONLY)
-    for name, gen in _GENERATORS.items()
-}
+# The options of each generator: its keyword-only parameters, which all have
+# defaults, so __kwdefaults__ names every one.
+_PARAMS = {name: frozenset(gen.__kwdefaults__ or ()) for name, gen in _GENERATORS.items()}
 
 
 def smtgallery(name, size, **params):
@@ -274,9 +241,9 @@ def smtgallery(name, size, **params):
     ----------
     name : str
         One of GALLERY_NAMES.
-    size : int or (m, n)
-        Matrix order; a pair is accepted by the rectangular random
-        generators tprand/tprandn.
+    size : int, (n,) or (m, n)
+        Matrix order; a pair is accepted by the generators that take two
+        dimensions (tprand/tprandn).
     **params
         Generator-specific options (decay rate `p`, `rho`, band values,
         `seed`, `complex`, ...).  Unknown options raise.
@@ -286,10 +253,13 @@ def smtgallery(name, size, **params):
         raise ValueError(
             f"unknown gallery matrix {name!r}; valid names: {', '.join(GALLERY_NAMES)}"
         )
-    dims = _rect_size(size) if key in _RECTANGULAR else (_square_size(size, key),)
+    gen = _GENERATORS[key]
+    dims = _dims(size, key, gen.__code__.co_argcount)
     accepted = _PARAMS[key]
-    # a bad value of a known option is reported ahead of an unknown option
-    out = _GENERATORS[key](*dims, **{k: v for k, v in params.items() if k in accepted})
+    # a bad value of a known option is reported ahead of an unknown option;
+    # an extreme one overflows quietly and the finite checks raise for it
+    with np.errstate(all="ignore"):
+        out = gen(*dims, **{k: v for k, v in params.items() if k in accepted})
     unknown = params.keys() - accepted
     if unknown:
         raise ValueError(

@@ -91,7 +91,8 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
     Requires ev(optimal(A)) to be nonzero throughout.  For Toeplitz input
     the Gram part ev(optimal(A A*)) is computed from the diagonal vector
     alone by FFT correlations in O(n log n) (see _gram_projection_ev), so
-    neither a dense n-by-n product nor any matvec is ever formed.
+    neither a dense n-by-n product nor any matvec is ever formed; for dense
+    input it is the mean power of the column spectra, in O(n^2 log n).
     """
     if isinstance(A, (Toeplitz, Circulant)):
         _require_square(A.shape, "the superoptimal")
@@ -109,9 +110,15 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
         b = _gram_projection_ev(A)
         real = A.isreal
     else:
+        # ev(optimal(A A*)) = (1/n) sum_j |fft(A[:, j])|^2 from the column
+        # spectra, in O(n^2 log n) with no n-by-n product; real A takes the
+        # half spectra, whose power mirrors to the rest
         A = np.asarray(A)
-        b = optimal(A @ A.conj().T).ev
+        n = A.shape[0]
         real = not np.iscomplexobj(A)
+        spec = forward(A, n, real, 0)
+        b = np.sum(spec.real ** 2 + spec.imag ** 2, axis=1) / n
+        b = np.concatenate([b, b[n - b.shape[0]:0:-1]]) if real else b
     return Circulant._from_spectrum(b / np.conj(P.ev), real)
 
 
@@ -163,6 +170,12 @@ def register_preconditioner(name: str, constructor) -> None:
     """
     with _registry_lock:
         _REGISTRY[str(name).lower()] = constructor
+
+
+def _registered(kind: str) -> bool:
+    """True when `kind` names a registered preconditioner, in any case."""
+    with _registry_lock:
+        return str(kind).lower() in _REGISTRY
 
 
 def smtcprec(kind: str, A) -> Circulant:

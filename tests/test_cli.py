@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from structmat import (Circulant, Config, EmbeddingPolicy, Toeplitz, cli, config_get,
-                       errors, levinson_solve, read_matrix, smtgallery)
+                       errors, levinson_solve, read_matrix, register_preconditioner,
+                       smtgallery)
 from structmat.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 from conftest import rel_err
@@ -250,6 +251,30 @@ def test_solve_precond_kind_names_are_reserved(tmp_path, capsys, monkeypatch):
     kind = report_dict(run(capsys, *args, "--precond", "strang")[1])
     from_file = report_dict(run(capsys, *args, "--precond", "./strang")[1])
     assert from_file["iterations"] == plain["iterations"] != kind["iterations"]
+
+
+@pytest.mark.parametrize("kind, same_as", [("Strang", "strang"), ("unit", "none")],
+                         ids=["any-case", "registered"])
+def test_solve_precond_takes_the_kinds_precond_takes(tmp_path, capsys, monkeypatch,
+                                                     kind, same_as):
+    # `solve --precond` reads a kind name as `precond` does, from the registry
+    import structmat.preconditioners as pmod
+
+    monkeypatch.chdir(tmp_path)
+    register_preconditioner("unit", lambda A: Circulant(np.eye(A.shape[0])[0]))
+    try:
+        run(capsys, "gen", "gaussian", "64", "-o", "g.smt")
+        assert run(capsys, "precond", kind, "g.smt", "-o", "C.smt")[0] == EXIT_OK
+        args = ("solve", "g.smt", "--rhs-ones", "--method", "pcg", "--maxit", "500",
+                "--precond")
+        code, stdout, err = run(capsys, *args, kind)
+        want = report_dict(run(capsys, *args, same_as)[1])
+    finally:
+        with pmod._registry_lock:
+            pmod._REGISTRY.pop("unit", None)
+    assert code == EXIT_OK and err == ""
+    got = report_dict(stdout)
+    assert got["precond"] == kind and got["iterations"] == want["iterations"]
 
 
 def test_solve_precond_file_errors(tmp_path, capsys, monkeypatch):

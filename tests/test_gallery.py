@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from structmat import Circulant, Toeplitz, config_set, smtgallery, GALLERY_NAMES
+from structmat.cli import EXIT_OK, EXIT_USAGE, main
+from structmat.gallery import _GENERATORS
 
 from conftest import rel_err
 
@@ -206,6 +208,53 @@ def test_listed_parameters_accepted_with_their_defaults(name):
     assert got.dtype == want.dtype and np.array_equal(got, want)
     with pytest.raises(ValueError, match=rf"^unknown parameter\(s\) for '{name}': bogus$"):
         smtgallery(name, 12, bogus=1, **seeded)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_PARAMS))
+def test_signature_states_shape_and_options(name):
+    # the gallery reads a generator's shape from its positional arity and its
+    # options from its keyword-only defaults
+    code, options = _GENERATORS[name].__code__, _GENERATORS[name].__kwdefaults__ or {}
+    rectangular = name in ("tprand", "tprandn")
+    assert code.co_argcount == (2 if rectangular else 1)
+    assert code.co_kwonlyargcount == len(options) and options == GENERATOR_PARAMS[name]
+    seeded = {"seed": 7} if "seed" in options else {}
+    want = smtgallery(name, 12, **seeded)
+    assert want.shape == (12, 12)
+    for size in ((12,), [12]):
+        assert np.array_equal(_values(smtgallery(name, size, **seeded)), _values(want))
+    for pair in ((12, 12), (12, 14), [14, 12]):
+        if rectangular:
+            assert smtgallery(name, pair, **seeded).shape == tuple(pair)
+        else:
+            with pytest.raises(ValueError, match=rf"^'{name}' generates square matrices"):
+                smtgallery(name, pair, **seeded)
+    if rectangular:
+        assert np.array_equal(_values(smtgallery(name, (12, 12), **seeded)), _values(want))
+    for bad in (0, (-1,), (12, 0), (1, 2, 3)):
+        with pytest.raises(ValueError, match="dimensions must be positive|generates"):
+            smtgallery(name, bad, **seeded)
+
+
+# Each value option of each generator; these take any float.
+VALUE_OPTIONS = [(name, option) for name, params in sorted(GENERATOR_PARAMS.items())
+                 for option, default in params.items() if isinstance(default, float)]
+
+
+@pytest.mark.parametrize("name, option", VALUE_OPTIONS)
+def test_extreme_option_values_print_no_numpy_warning(tmp_path, capsys, name, option):
+    for raw in ("inf", "-inf", "nan", "1e308", "-1e308"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the call
+            try:
+                smtgallery(name, 9, **{option: float(raw)})
+            except ValueError:
+                pass
+            code = main(["gen", name, "9", "-o", str(tmp_path / "T.smt"),
+                         "--param", f"{option}={raw}"])
+        err = capsys.readouterr().err.splitlines()
+        assert code in (EXIT_OK, EXIT_USAGE) and len(err) == (code != EXIT_OK), (raw, err)
+        assert code == EXIT_OK or err[0].startswith("error: ValueError: ")
 
 
 def test_dimension_names_are_not_parameters():

@@ -253,6 +253,24 @@ def test_gram_projection_matches_dense_oracle(n, complex_entries, monkeypatch):
             assert rel_err(got, gram_projection_by_unit_vectors(T)) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_dense_superoptimal_matches_the_gram_product(n, complex_entries, monkeypatch):
+    rng = np.random.default_rng(300 + n)
+    A = rng.standard_normal((n, n)) + 2.0 * n * np.eye(n)  # optimal(A) well away from 0
+    if complex_entries:
+        A = A + 1j * rng.standard_normal((n, n))
+    want = Circulant._from_spectrum(optimal(A @ A.conj().T).ev / np.conj(optimal(A).ev),
+                                    not complex_entries)
+    with monkeypatch.context() as m:
+        if not complex_entries:  # real input takes rfft only
+            for name in ("fft", "ifft"):
+                m.setattr(np.fft, name, refuse_transform)
+        got = superoptimal(A)
+    assert got.isreal == (not complex_entries)
+    assert rel_err(got.col, want.col) <= 1e-14
+
+
 def test_superoptimal_of_toeplitz_makes_no_matvec(monkeypatch):
     calls = []
     apply = Toeplitz._apply  # every fast product (matvec and @) runs through it
