@@ -9,7 +9,8 @@ kept coherent through every structure-preserving operation, and reused so
 that products, powers, inverses and linear solves all run in O(n log n).
 Every value's column is finite: the constructor checks its input, and a
 derived value (a product, power, inverse, map or shift) whose column
-overflows raises ValueError.
+overflows raises ValueError.  So is its spectrum, computed or carried,
+which can overflow from a finite column (`Circulant([1e308, 1e308])`).
 
 Values are immutable; operations return new objects.  Circulants sit at the
 bottom of the promotion lattice (see _structured.py): circulant (op)
@@ -49,7 +50,8 @@ class Circulant(Structured):
         A given `ev`, which must equal the DFT of col to roundoff, is carried
         as is; with none the column is transformed.  Returns self."""
         self._data = frozen(np.ascontiguousarray(col))
-        self._spec = frozen(spectrum_of(self._data) if ev is None else np.ascontiguousarray(ev))
+        ev = spectrum_of(self._data) if ev is None else np.ascontiguousarray(ev)
+        self._spec = frozen(require_finite(ev, "spectrum"))
         self._singular = None
         return self
 

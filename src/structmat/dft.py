@@ -65,8 +65,11 @@ def _half(spec, real):
     return spec[: spec.shape[0] // 2 + 1] if real else spec
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def spectrum_of(x):
-    """Full-length DFT of `x` along axis 0; real `x` takes one rfft."""
+    """Full-length DFT of `x` along axis 0; real `x` takes one rfft.  An
+    overflow leaves inf or nan entries without a warning: the values that
+    store a spectrum check it finite."""
     n = x.shape[0]
     real = not np.iscomplexobj(x)
     spec = forward(x, n, real, 0)

@@ -38,6 +38,20 @@ def _dims(size, name, count):
     return dims
 
 
+def _integer(value, name):
+    """The integer option `name` as an int; None passes for a default.  An
+    integral value (3, 3.0, np.int64(3)) passes, and anything else (2.5,
+    inf, nan, a string) raises ValueError."""
+    if value is None:
+        return None
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"option {name} must be an integer, got {value!r}")
+
+
 def _banded(n, diagonals):
     """The order-n Toeplitz matrix with diagonals[lag] on each lag = i - j
     that fits, and zeros elsewhere."""
@@ -50,7 +64,7 @@ def _banded(n, diagonals):
 
 
 def _random_values(seed, count, normal, want_complex):
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     draw = rng.standard_normal if normal else rng.random
     vals = draw(count)
     if want_complex:
@@ -111,8 +125,8 @@ def _gen_ttoeppen(n, *, a=1.0, b=-10.0, c=0.0, d=10.0, e=1.0):
 
 
 def _gen_ttoeppd(n, *, m=None, seed=None, weights=None, theta=None):
-    m = n if m is None else int(m)
-    rng = np.random.default_rng(seed)
+    m = n if m is None else _integer(m, "m")
+    rng = np.random.default_rng(_integer(seed, "seed"))
     w = rng.random(m) if weights is None else np.asarray(weights, dtype=float)
     theta = rng.random(m) if theta is None else np.asarray(theta, dtype=float)
     if w.shape != theta.shape:
@@ -129,7 +143,7 @@ def _gen_ttoeppd(n, *, m=None, seed=None, weights=None, theta=None):
 
 
 def _gen_tgrcar(n, *, k=3):
-    k = int(k)
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     col = np.zeros(n)
@@ -167,7 +181,7 @@ def _gen_tchow(n, *, alpha=1.0, delta=0.0):
 
 def _gen_ttriw(n, *, alpha=-1.0, k=None):
     alpha = float(alpha)
-    k = n - 1 if k is None else int(k)
+    k = n - 1 if k is None else _integer(k, "k")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     col = np.zeros(n)
@@ -179,7 +193,7 @@ def _gen_ttriw(n, *, alpha=-1.0, k=None):
 
 
 def _gen_tdramadah(n, *, k=1):
-    k = int(k)
+    k = _integer(k, "k")
     col = np.zeros(n)
     row = np.zeros(n)
     if k == 1:

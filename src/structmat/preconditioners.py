@@ -1,13 +1,22 @@
 """Circulant preconditioners: Strang, optimal (Frobenius projection) and
 superoptimal, plus a dispatching front end with a user-extensible registry.
 
+The constructors share one operand rule, `_square`: a circulant or
+Toeplitz value passes as it is, anything else is read as a 2-d array
+(which Strang refuses first, with TypeError), and every operand must be
+square.  Each error names the constructor that was called.
+
 The Strang preconditioner copies the central diagonals of a square Toeplitz
 matrix and wraps them around; it is defined for Toeplitz input, and a
 circulant, whose central diagonals are its column, is its own.  The
 optimal preconditioner is the Frobenius-norm projection of an arbitrary
-square matrix onto the circulant algebra.  The superoptimal preconditioner
-minimizes ||I - inv(C) A||_F; in the Fourier basis its eigenvalues have the
-closed form
+square matrix onto the circulant algebra (T. Chan, SIAM J. Sci. Stat.
+Comput. 9 (1988)): one fold of entries onto the circulant lags
+(i - j) mod n, `_fold`, the same for Toeplitz input (its diagonals, each
+weighted by its length) and for dense input (every entry).  The
+superoptimal preconditioner (Tyrtyshnikov, SIAM J. Matrix Anal. Appl. 13
+(1992)) minimizes ||I - inv(C) A||_F; in the Fourier basis its eigenvalues
+have the closed form
 
     lambda_i = b_i / conj(a_i),
 
@@ -29,11 +38,18 @@ from .toeplitz import Toeplitz
 __all__ = ["strang", "optimal", "superoptimal", "smtcprec", "register_preconditioner"]
 
 
-def _require_square(shape, who):
-    if shape[0] != shape[1]:
+def _square(A, who):
+    """The operand of the `who` preconditioner: a circulant or Toeplitz value
+    as it is, anything else as a 2-d array; either way it must be square."""
+    if not isinstance(A, (Circulant, Toeplitz)):
+        A = np.asarray(A)
+        if A.ndim != 2:
+            raise ValueError(f"the {who} preconditioner expects a matrix, got shape {A.shape}")
+    if A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(
-            f"{who} preconditioner requires a square matrix, got {shape[0]}x{shape[1]}"
+            f"the {who} preconditioner requires a square matrix, got {A.shape[0]}x{A.shape[1]}"
         )
+    return A
 
 
 def strang(T: Toeplitz | Circulant) -> Circulant:
@@ -49,8 +65,7 @@ def strang(T: Toeplitz | Circulant) -> Circulant:
         raise TypeError(
             "the Strang preconditioner is defined only for Toeplitz matrices"
         )
-    _require_square(T.shape, "the Strang")
-    n = T.shape[0]
+    n = _square(T, "Strang").shape[0]
     t = T.t
     c = np.empty(n, dtype=t.dtype)
     half = n // 2
@@ -62,25 +77,19 @@ def strang(T: Toeplitz | Circulant) -> Circulant:
 def optimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
     """Frobenius-norm projection of a square matrix onto the circulants.
 
-    For Toeplitz input the projection has the O(n) closed form
-    c_j = (j * t_{j-n} + (n-j) * t_j) / n; dense input is averaged over the
-    n circulant-shift diagonals in O(n^2).  A circulant is returned as is.
+    Entry (i, j) lies on the circulant lag (i - j) mod n, and column entry
+    c_k is the mean of the n entries on lag k (`_fold`).  A Toeplitz matrix
+    holds n - |d| copies of t_d on its diagonal d, so it folds its 2n - 1
+    weighted diagonals in O(n); dense input folds its n^2 entries.  A
+    circulant is returned as is.
     """
     if isinstance(A, Circulant):
         return A
-    if isinstance(A, Toeplitz):
-        _require_square(A.shape, "the optimal")
-        n = A.shape[0]
-        t = A.t
-        j = np.arange(n)
-        c = (n - j) * t[j + n - 1]
-        c[1:] += (j[1:] * t[j[1:] - 1])
-        return Circulant(c / n)
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise ValueError("optimal expects a matrix")
-    _require_square(A.shape, "the optimal")
+    A = _square(A, "optimal")
     n = A.shape[0]
+    if isinstance(A, Toeplitz):
+        d = np.arange(1 - n, n)
+        return Circulant(_fold((n - np.abs(d)) * A.t, d, n) / n)
     lags = np.subtract.outer(np.arange(n), np.arange(n))
     return Circulant(_fold(A.ravel(), lags.ravel(), n) / n)
 
@@ -94,8 +103,7 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
     neither a dense n-by-n product nor any matvec is ever formed; for dense
     input it is the mean power of the column spectra, in O(n^2 log n).
     """
-    if isinstance(A, (Toeplitz, Circulant)):
-        _require_square(A.shape, "the superoptimal")
+    A = _square(A, "superoptimal")
     P = optimal(A)
     try:
         P._check_nonsingular()
@@ -113,7 +121,6 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
         # ev(optimal(A A*)) = (1/n) sum_j |fft(A[:, j])|^2 from the column
         # spectra, in O(n^2 log n) with no n-by-n product; real A takes the
         # half spectra, whose power mirrors to the rest
-        A = np.asarray(A)
         n = A.shape[0]
         real = not np.iscomplexobj(A)
         spec = forward(A, n, real, 0)

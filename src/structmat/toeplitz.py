@@ -27,7 +27,10 @@ Operators follow the promotion lattice in _structured.py: a circulant
 operand converts to Toeplitz, and @ with any Toeplitz factor is dense.
 The public constructors check their input finite once; a derived value
 (a product, map, triangle, block or shift) is checked in `_like`, so an
-overflow raises ValueError instead of leaving inf or nan entries.
+overflow raises ValueError instead of leaving inf or nan entries.  An
+embedding spectrum is checked finite where it is written: a carried one
+in `_fill`, a computed one in `_spectrum`, for `cev` and for the solvers'
+order alike.
 """
 
 from __future__ import annotations
@@ -99,7 +102,8 @@ class Toeplitz(Structured):
         self._data = frozen(np.ascontiguousarray(t))
         self._m, self._n = m, n
         self._config = config if config is not None else config_get()
-        self._spec = None if spec is None else frozen(np.ascontiguousarray(spec))
+        self._spec = None if spec is None else frozen(
+            require_finite(np.ascontiguousarray(spec), "spectrum"))
         if self._config.toeprem:
             self._spectrum()
         return self
@@ -185,11 +189,12 @@ class Toeplitz(Structured):
         Only the one at `embed_order` is cached, as `cev`; any other order
         is transformed anew on every call."""
         if size is not None and size != self.embed_order:
-            return spectrum_of(self._embedding(size))
+            return require_finite(spectrum_of(self._embedding(size)), "spectrum")
         cev = self._spec
         if cev is None:
             # idempotent cache fill; concurrent duplicates compute equal arrays
-            cev = frozen(spectrum_of(self._embedding(self.embed_order)))
+            cev = spectrum_of(self._embedding(self.embed_order))
+            cev = frozen(require_finite(cev, "spectrum"))
             self._spec = cev
         return cev
 

@@ -25,6 +25,7 @@ def test_construction_and_display_values():
     want = np.array([[1, 4, 3, 2], [2, 1, 4, 3], [3, 2, 1, 4], [4, 3, 2, 1]])
     assert np.array_equal(C.full(), want)
     assert np.allclose(C.ev, EV_1234, atol=1e-13)
+    assert repr(C) == "Circulant(n=4, dtype=float64)"
 
 
 def test_one_by_one():
@@ -40,6 +41,10 @@ def test_construction_errors():
         Circulant([1.0, np.inf])
     with pytest.raises(ValueError):
         Circulant([1.0, np.nan])
+    with pytest.raises(ValueError, match=r"must be one-dimensional, got shape \(1, 2\)"):
+        Circulant([[1.0, 2.0]])
+    with pytest.raises(TypeError, match="first column must be numeric, got dtype <U1"):
+        Circulant(["a", "b"])
 
 
 def test_full_special_columns():
@@ -394,8 +399,9 @@ def test_algebra_closure_and_cache_coherence(kind, op):
 
     if op in OVERFLOWS:
         big = np.array([1.0, 1.5e308 * (1 + 1j), 2.0])
-        with np.errstate(all="ignore"):  # H's own spectrum may overflow
-            H = (Circulant(big) if kind == "circulant"
+        with np.errstate(all="ignore"):  # the operations overflow
+            # the 2-entry column keeps a finite spectrum, 1 +- 1.5e308 (1 + 1j)
+            H = (Circulant(big[:2]) if kind == "circulant"
                  else Toeplitz.from_diagonals(big, 2, 2))
             with pytest.raises(ValueError, match="non-finite"):
                 OVERFLOWS[op](H)

@@ -524,7 +524,8 @@ def test_gen_infinite_integer_parameter_is_usage_error(tmp_path, capsys, name, p
     code, _, err = run(capsys, "gen", name, "4", "--param", param,
                        "-o", str(tmp_path / "x.smt"))
     assert code == EXIT_USAGE
-    assert err == "error: OverflowError: cannot convert float infinity to integer\n"
+    option = param.partition("=")[0]
+    assert err == f"error: ValueError: option {option} must be an integer, got inf\n"
     assert not (tmp_path / "x.smt").exists()
 
 
@@ -719,7 +720,8 @@ def test_gen_rectangular_complex(tmp_path, capsys):
      {"weights": [1.0, 2.0], "theta": [0.1, 0.3]}),
     ("crrand", "4", ["complex=true", "seed=2"], {"complex": True, "seed": 2}),
     ("tkms", "4", ["rho= 0.25 "], {"rho": 0.25}),
-], ids=["lists", "bool", "float"])
+    ("crrand", "4", ["complex=on", "complex=off", "seed=2.0"], {"complex": False, "seed": 2}),
+], ids=["lists", "bool", "float", "bool-off"])
 def test_gen_param_values(tmp_path, capsys, name, size, params, want):
     out = tmp_path / "p.smt"
     argv = [arg for item in params for arg in ("--param", item)]
@@ -733,6 +735,7 @@ def test_gen_param_values(tmp_path, capsys, name, size, params, want):
 @pytest.mark.parametrize("argv, message", [
     (["tprand", "4x5x6"], "invalid size '4x5x6'"),
     (["tkms", "4", "--param", "rho"], "--param expects KEY=VALUE, got 'rho'"),
+    (["algdec", "4", "--param", "p=steep"], "could not convert string to float: 'steep'"),
 ])
 def test_gen_usage_errors(tmp_path, capsys, argv, message):
     code, _, err = run(capsys, "gen", *argv, "-o", str(tmp_path / "x.smt"))

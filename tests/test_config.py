@@ -29,6 +29,8 @@ def test_set_and_snapshot():
     assert config_get().toeprem is False
     config_set("embedding", "tight")
     assert config_get().embedding is EmbeddingPolicy.TIGHT
+    config_set("embedding", EmbeddingPolicy.POW2)  # a member passes as it is
+    assert config_get().embedding is EmbeddingPolicy.POW2
     config_reset()
     assert config_get() == Config()
 

@@ -46,6 +46,9 @@ def test_dense_and_vector_roundtrip(tmp_path):
     v = rng.standard_normal(11)
     backv = roundtrip(tmp_path, v, "v.smt")
     assert backv.ndim == 1 and np.array_equal(backv, v)
+    with pytest.raises(TypeError, match="cannot serialize object of type ndarray"):
+        write_matrix(tmp_path / "cube.smt", np.zeros((2, 2, 2)))
+    assert not (tmp_path / "cube.smt").exists()
 
 
 def test_bit_exact_for_awkward_doubles(tmp_path):

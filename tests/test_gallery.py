@@ -88,6 +88,8 @@ def test_toeppd():
     assert np.allclose(M.full()[:, 0], want)
     with pytest.raises(ValueError):
         smtgallery("ttoeppd", 6, weights=[1.0, -1.0], theta=[0.1, 0.2])
+    with pytest.raises(ValueError, match="weights and theta must have the same length"):
+        smtgallery("ttoeppd", 6, weights=[1.0, 2.0], theta=[0.1])
 
 
 def test_grcar():
@@ -98,6 +100,8 @@ def test_grcar():
         assert np.all(np.diag(A, k) == 1)
     assert np.all(np.diag(A, 4) == 0)
     assert np.all(np.diag(A, -2) == 0)
+    with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+        smtgallery("tgrcar", 6, k=-1)
 
 
 def test_parter():
@@ -132,6 +136,8 @@ def test_triw():
     assert np.all(A[np.triu_indices(5, 1)] == -1)
     banded = smtgallery("ttriw", 5, alpha=2.0, k=2)
     assert banded.full()[0, 2] == 2.0 and banded.full()[0, 3] == 0.0
+    with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+        smtgallery("ttriw", 5, k=-1)
 
 
 def test_dramadah():
@@ -240,21 +246,43 @@ def test_signature_states_shape_and_options(name):
 VALUE_OPTIONS = [(name, option) for name, params in sorted(GENERATOR_PARAMS.items())
                  for option, default in params.items() if isinstance(default, float)]
 
+# Each integer option; these take integral values only.
+INTEGER_OPTIONS = [(name, option) for name, params in sorted(GENERATOR_PARAMS.items())
+                   for option in params if option in ("k", "m", "seed")]
 
-@pytest.mark.parametrize("name, option", VALUE_OPTIONS)
+
+@pytest.mark.parametrize("name, option", VALUE_OPTIONS + INTEGER_OPTIONS)
 def test_extreme_option_values_print_no_numpy_warning(tmp_path, capsys, name, option):
-    for raw in ("inf", "-inf", "nan", "1e308", "-1e308"):
+    integer = (name, option) in INTEGER_OPTIONS
+    extremes = ("inf", "-inf", "nan", "2.5") if integer else ("inf", "-inf", "nan", "1e308",
+                                                              "-1e308")
+    for raw in extremes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning fails the call
             try:
                 smtgallery(name, 9, **{option: float(raw)})
-            except ValueError:
-                pass
+            except ValueError as exc:
+                refusal = str(exc)
+            else:
+                refusal = None
             code = main(["gen", name, "9", "-o", str(tmp_path / "T.smt"),
                          "--param", f"{option}={raw}"])
         err = capsys.readouterr().err.splitlines()
         assert code in (EXIT_OK, EXIT_USAGE) and len(err) == (code != EXIT_OK), (raw, err)
         assert code == EXIT_OK or err[0].startswith("error: ValueError: ")
+        if integer:  # no integral value among them: each is refused by name
+            assert refusal == f"option {option} must be an integer, got {raw}"
+            assert err == [f"error: ValueError: {refusal}"]
+
+
+@pytest.mark.parametrize("value", [3.0, np.int64(3), np.float64(3.0)],
+                         ids=["float", "int64", "float64"])
+def test_integral_values_of_integer_options_pass(value):
+    for name, option in INTEGER_OPTIONS:
+        seeded = {"seed": 7} if "seed" in GENERATOR_PARAMS[name] else {}
+        want = smtgallery(name, 9, **{**seeded, option: 3})
+        got = smtgallery(name, 9, **{**seeded, option: value})
+        assert np.array_equal(_values(got), _values(want)), (name, option)
 
 
 def test_dimension_names_are_not_parameters():

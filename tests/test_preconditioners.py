@@ -115,6 +115,31 @@ def test_strang_requires_square_toeplitz():
         strang(np.eye(4))
 
 
+@pytest.mark.parametrize("build, operand, error, message", [
+    (strang, Toeplitz.from_diagonals([1, 2, 3, 4], 2, 3), DimensionMismatchError,
+     "the Strang preconditioner requires a square matrix, got 2x3"),
+    (optimal, Toeplitz.from_diagonals([1, 2, 3, 4], 3, 2), DimensionMismatchError,
+     "the optimal preconditioner requires a square matrix, got 3x2"),
+    (optimal, np.ones((2, 3)), DimensionMismatchError,
+     "the optimal preconditioner requires a square matrix, got 2x3"),
+    (optimal, np.ones(3), ValueError,
+     r"the optimal preconditioner expects a matrix, got shape \(3,\)"),
+    (superoptimal, Toeplitz.from_diagonals([1, 2, 3, 4], 2, 3), DimensionMismatchError,
+     "the superoptimal preconditioner requires a square matrix, got 2x3"),
+    (superoptimal, np.ones((3, 4)), DimensionMismatchError,
+     "the superoptimal preconditioner requires a square matrix, got 3x4"),
+    (superoptimal, [[1.0, 2.0]], DimensionMismatchError,
+     "the superoptimal preconditioner requires a square matrix, got 1x2"),
+    (superoptimal, np.ones(3), ValueError,
+     r"the superoptimal preconditioner expects a matrix, got shape \(3,\)"),
+], ids=["strang-toeplitz", "optimal-toeplitz", "optimal-dense", "optimal-vector",
+        "superoptimal-toeplitz", "superoptimal-dense", "superoptimal-list",
+        "superoptimal-vector"])
+def test_operand_errors_name_the_constructor_called(build, operand, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build(operand)
+
+
 def test_optimal_projection_fixed_point():
     rng = np.random.default_rng(1)
     C = Circulant(random_complex(rng, 6))

@@ -309,6 +309,8 @@ def test_pcg_validation_and_operator_forms():
         pcg_solve(T, np.ones(200), tol=float("nan"))
     with pytest.raises(ValueError):
         pcg_solve(A, b, maxit=0)
+    with pytest.raises(DimensionMismatchError, match="pcg_solve requires a square operator"):
+        pcg_solve(np.ones((4, 3)), b)
     dense = A.full()
     x1, _ = pcg_solve(dense, b, tol=1e-12)
     x2, _ = pcg_solve(lambda v: dense @ v, b, tol=1e-12)

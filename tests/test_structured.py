@@ -1,12 +1,15 @@
 """The operator table shared by Circulant and Toeplitz, against dense oracles."""
 
 import operator
+import warnings
 
 import numpy as np
 import pytest
 
-from structmat import Circulant, DimensionMismatchError, Toeplitz, is_circulant, is_toeplitz
+from structmat import (Circulant, DimensionMismatchError, Toeplitz, config_set, is_circulant,
+                       is_toeplitz)
 from structmat._structured import cyclic_reverse, reversal_index
+from structmat.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 from conftest import dense_circulant, dense_toeplitz, random_complex, rel_err, same_bits
 
@@ -46,6 +49,15 @@ def test_operator_table_against_dense_oracles():
             2 / A
         with pytest.raises(TypeError):
             hash(A)
+
+    # operands the table does not take: Python's fallback decides
+    for A in (C, T):
+        assert (A == A.full()) is False and (A == "A") is False and A != [1.0]
+        n = A.shape[1]
+        for bad in (lambda: A + ([1.0] * n), lambda: A / np.ones(n), lambda: A @ ([1.0] * n),
+                    lambda: np.ones((2, n, A.shape[0])) @ A):
+            with pytest.raises(TypeError):
+                bad()
 
     # every pair: mismatched shapes raise, matching shapes agree with the oracle
     C3, T3 = Circulant(random_complex(rng, 3)), Toeplitz(random_complex(rng, 3))
@@ -149,10 +161,11 @@ def test_type_predicates():
                                     ("floor", np.floor), ("ceil", np.ceil)])
 def test_rounding_maps_act_on_real_and_imaginary_parts(tag, f):
     rng = np.random.default_rng(8)
-    col = 10 * random_complex(rng, 5)
-    for A in (Circulant(col), Toeplitz.from_diagonals(10 * random_complex(rng, 7), 3, 5)):
+    col, t = 10 * random_complex(rng, 5), 10 * random_complex(rng, 7)
+    for A in (Circulant(col), Toeplitz.from_diagonals(t, 3, 5),
+              Circulant(col.real), Toeplitz.from_diagonals(t.real, 3, 5)):
         got = A.map_entries(tag)
-        assert type(got) is type(A)
+        assert type(got) is type(A) and got.isreal == A.isreal
         dense = A.full()
         assert np.array_equal(got.full().real, f(dense.real))
         assert np.array_equal(got.full().imag, f(dense.imag))
@@ -170,3 +183,54 @@ def test_unary_plus_is_the_value_itself():
     C = Circulant([1.0, -2.0, 3.0])
     assert +C is C
     assert np.array_equal((+C).full(), C.full())
+
+
+@pytest.mark.parametrize("toeprem", [True, False], ids=["toeprem", "lazy"])
+def test_a_spectrum_that_overflows_is_refused_where_it_is_written(tmp_path, capsys, toeprem):
+    # finite entries whose spectrum overflows: ev[0], the sum of the column
+    # or of the embedding, passes the largest double
+    config_set("toeprem", toeprem)
+    refused = pytest.raises(ValueError, match="^spectrum contains non-finite entries$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the transform prints no numpy warning
+        with refused:
+            Circulant([1e308, 1e308])
+        if toeprem:
+            with refused:
+                Toeplitz([1e308, 1e308])
+        else:  # a lazy value is refused when its spectrum is first asked for
+            T = Toeplitz([1e308, 1e308])
+            for order in (T.embed_order, T._exact_order()):  # the cache, the solvers' order
+                with refused:
+                    T._spectrum(order)
+            assert T.cev is None
+            with refused:
+                T @ np.ones(2)
+
+    # a carried spectrum: scaling keeps the entries finite and overflows ev[0]
+    C = Circulant(np.full(4, 4e307))
+    T = Toeplitz.from_diagonals(np.full(3, 4e307), 2, 2)
+    with np.errstate(over="ignore"):  # the scaling itself overflows
+        with refused:
+            C * 1.5
+        if toeprem:
+            with refused:
+                T * 1.5
+        else:
+            S = T * 1.5
+            with refused:
+                S @ np.ones(2)
+
+    # the command line builds under toeprem unless told not to
+    path = tmp_path / "T.smt"
+    gen = ["gen", "ttriw", "9", "--alpha", "1e308", "-o", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(gen) == EXIT_USAGE and not path.exists()
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: spectrum contains non-finite entries\n"
+        if not toeprem:  # written lazily, and refused when read under toeprem
+            assert main([*gen, "--no-toeprem"]) == EXIT_OK
+            assert main(["info", str(path)]) == EXIT_IO
+            assert capsys.readouterr().err == (
+                f"error: MatrixFileError: {path}: spectrum contains non-finite entries\n")

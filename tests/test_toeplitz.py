@@ -46,6 +46,9 @@ def test_construction_errors():
         Toeplitz([np.nan, 1.0])
     with pytest.raises(DimensionMismatchError):
         Toeplitz.from_diagonals([1, 2, 3], 2, 3)
+    for m, n in ((0, 2), (2, 0), (-1, 3)):
+        with pytest.raises(ValueError, match=f"dimensions must be positive, got {m}x{n}"):
+            Toeplitz.from_diagonals([1.0], m, n)
 
 
 def test_full_one_by_one_and_diag_constancy():
@@ -76,9 +79,11 @@ def test_toeprem_cache():
     config_set("toeprem", "off")
     lazy = paper_example()
     assert lazy.cev is None
+    assert repr(lazy) == "Toeplitz(shape=4x4, dtype=float64, policy=pow2, cev=none)"
     lazy.toeprem()
     first = lazy.cev
     assert first is not None
+    assert repr(lazy) == "Toeplitz(shape=4x4, dtype=float64, policy=pow2, cev=8)"
     lazy.toeprem()
     assert lazy.cev is first  # idempotent fill
 
