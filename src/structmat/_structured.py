@@ -11,7 +11,9 @@ dft.py.
 Every derived value is built by the class's `_like` (a circulant product,
 power or inverse by `Circulant._from_spectrum`), which raises ValueError
 when its entries are not finite (an overflow) and carries the spectrum of
-its operands where a cheap exact rule gives it:
+its operands where a cheap exact rule gives it.  The arithmetic that feeds
+it runs under np.errstate(over="ignore", invalid="ignore"), so that
+ValueError is the one signal of an overflow, with no numpy warning:
 
     alpha * X, -X     the spectrum scaled or negated
     X.T               the spectrum cyclically reversed
@@ -171,6 +173,7 @@ class Structured:
             b = a._like(b._entries(np.arange(1 - n, n)))
         return a._combine(op, b)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _combine(self, op, other):
         """op(self, other) for op in add/sub/mul, `other` of this class and shape."""
         if op is operator.mul:
@@ -198,6 +201,7 @@ class Structured:
     def __rmul__(self, other):
         return self._binary(operator.mul, other, self.scale, reflected=True)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __truediv__(self, other):
         if is_scalar(other):
             return self.scale(1.0 / other)
@@ -209,6 +213,7 @@ class Structured:
     def __pos__(self):
         return self
 
+    @np.errstate(over="ignore", invalid="ignore")
     def scale(self, alpha):
         """alpha * X; a carried spectrum is scaled rather than recomputed."""
         return self._like(alpha * self._data,

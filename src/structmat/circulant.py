@@ -127,6 +127,7 @@ class Circulant(Structured):
         if self._singular:
             raise SingularMatrixError(self._singular)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def inv(self) -> "Circulant":
         """Circulant inverse via reciprocal eigenvalues."""
         self._check_nonsingular()
@@ -141,6 +142,7 @@ class Circulant(Structured):
         """Eigenvalues and Fourier eigenvectors: C @ F[:, k] = ev[k] * F[:, k]."""
         return self._spec.copy(), fourier_matrix(self.n)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def matrix_power(self, p: int) -> "Circulant":
         """Integer matrix power via entrywise powers of the spectrum."""
         if p != int(p):
@@ -193,8 +195,9 @@ class Circulant(Structured):
     def _like(self, data, spec=None, shape=None):
         return Circulant.__new__(Circulant)._fill(require_finite(data, "first column"), spec)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _add_scalar(self, s):
-        ev = self._spec.astype(np.result_type(self._spec, type(s)), copy=True)
+        ev = self._spec.astype(np.result_type(self._spec, s), copy=True)
         ev[0] += self.n * s  # dft of a constant shifts only the DC term
         return self._like(self._data + s, ev)
 
@@ -205,7 +208,9 @@ class Circulant(Structured):
         if not isinstance(other, Circulant):
             return super().__matmul__(other)
         self._check_operand(other)
-        return Circulant._from_spectrum(self._spec * other._spec, self.isreal and other.isreal)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ev = self._spec * other._spec
+        return Circulant._from_spectrum(ev, self.isreal and other.isreal)
 
     def __pow__(self, p):
         return self.matrix_power(p)

@@ -124,7 +124,7 @@ def _collect_params(args) -> dict:
     return params
 
 
-def _apply_global_config(args) -> Config:
+def _apply_global_config(args) -> None:
     config_reset()
     if args.config:
         try:
@@ -147,7 +147,6 @@ def _apply_global_config(args) -> Config:
     for key in _SWITCHES:
         if getattr(args, f"no_{key}"):
             config_set(key, False)
-    return config_get()
 
 
 def _print_fields(fields) -> None:

@@ -82,8 +82,11 @@ def spectrum_of(x):
     return full
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def entries_of(spec, real):
-    """Inverse DFT of the full spectrum `spec`, real-valued when `real`."""
+    """Inverse DFT of the full spectrum `spec`, real-valued when `real`.
+    Like `spectrum_of`, it leaves an overflow to the finite check of the
+    value that stores the entries, without a warning."""
     return inverse(_half(spec, real), spec.shape[0], real, 0)
 
 

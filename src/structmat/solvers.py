@@ -22,13 +22,17 @@ fast_len to a 2*3*5-smooth length.  For a dense T that order is
 m + n - 1.  A banded T, or a kernel whose tail underflows to zero, needs
 little more than half of it.  A smooth length transforms several times
 faster than a tight one with a large prime factor, and is never longer
-than the power of two.  The spectrum comes from
-T._spectrum(_solver_size(T)): when T's own embedding already has that
-order its cached `cev` serves; otherwise one transform per solve builds
-the spectrum, and T keeps its policy, its `cev` and its own products.
-Levinson's Gohberg-Semencul products are convolutions of length 2n - 1
-whatever the band, and run at fast_len(2n - 1).  Every transform is a call
-into dft.py, half-length on real data.
+than the power of two.  The products come from
+T._products(_solver_size(T)), which takes T's embedding spectrum once per
+solve: when T's own embedding already has that order its cached `cev`
+serves; otherwise one transform builds it, and T keeps its policy, its
+`cev` and its own products.  Levinson's Gohberg-Semencul products are
+convolutions of length 2n - 1 whatever the band, and run at
+fast_len(2n - 1), as do its refinement and certificate products with T.
+A circulant preconditioner M is used only through its methods: M.solve
+divides, M.matvec multiplies and M.inv() gives M^-1's first column.  No
+solver reads a stored spectrum.  Every transform is a call into dft.py,
+half-length on real data.
 
 PCG has one iteration loop, _pcg_cycle, which runs from zero on a
 residual.  pcg_solve calls it in refinement cycles: x += dx, then the true
@@ -65,7 +69,7 @@ from ._structured import cyclic_reverse
 from ._util import as_vector
 from .circulant import Circulant
 from .config import Config, config_get
-from .dft import entries_of, fast_len, forward, inverse, spectral_apply
+from .dft import fast_len, forward, inverse
 from .errors import (
     BreakdownError,
     DimensionMismatchError,
@@ -184,10 +188,10 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     size = fast_len(2 * n - 1)
     real = not np.iscomplexobj(bv) and T.isreal
     solve = _gs_solve(f, w, size, real)
-    spec = T._spectrum(size)
+    product = T._products(size)[0]
     x = solve(bv)
-    x += solve(bv - spectral_apply(spec, x, n, T.isreal))
-    r = bv - spectral_apply(spec, x, n, T.isreal)
+    x += solve(bv - product(x))
+    r = bv - product(x)
     # ||T||_1: column j holds diagonals -j .. n-1-j, a window sum of |a|
     sums = np.concatenate(([0.0], np.cumsum(np.abs(a))))
     norm_T = (sums[n:] - sums[:n]).max()
@@ -370,7 +374,7 @@ def toep_lstsq(T: Toeplitz, b) -> np.ndarray:
     _check_overdetermined(m, n)
     if n < LSTSQ_DENSE_CUTOFF:
         return _dense_solve(T.full(), b)
-    return _cgls(T, _rhs(b, m), LSTSQ_RTOL)
+    return _cgls(T, _rhs(b, m))
 
 
 def _solver_size(T: Toeplitz) -> int:
@@ -379,24 +383,22 @@ def _solver_size(T: Toeplitz) -> int:
     return fast_len(T._exact_order())
 
 
-def _cgls(T: Toeplitz, b, rtol):
-    m, n = T.shape
-    spec = T._spectrum(_solver_size(T))
-    spec_h = np.conj(spec)  # the adjoint's embedding spectrum
-    real = T.isreal
+def _cgls(T: Toeplitz, b):
+    n = T.shape[1]
+    product, adjoint = T._products(_solver_size(T))
     dtype = np.result_type(T.dtype, b.dtype, np.float64)
     x = np.zeros(n, dtype=dtype)
     r = b.astype(dtype)
     if not r.any():  # b = 0
         return x
-    s = spectral_apply(spec_h, r, n, real)
+    s = adjoint(r)
     p = s.copy()
     gamma = np.real(np.vdot(s, s))
-    target = rtol * np.sqrt(gamma)
+    target = LSTSQ_RTOL * np.sqrt(gamma)
     maxit = 5 * n
     stop = "iteration cap 5n reached"
     for k in range(1, maxit + 1):
-        q = spectral_apply(spec, p, m, real)
+        q = product(p)
         qq = np.real(np.vdot(q, q))
         if qq == 0.0 or not np.isfinite(qq):
             stop = "A p is zero or not finite"
@@ -404,7 +406,7 @@ def _cgls(T: Toeplitz, b, rtol):
         alpha = gamma / qq
         x += alpha * p
         r -= alpha * q
-        s = spectral_apply(spec_h, r, n, real)
+        s = adjoint(r)
         gamma_new = np.real(np.vdot(s, s))
         if np.sqrt(gamma_new) <= target:
             return x
@@ -434,8 +436,7 @@ def _as_operator(A):
     if isinstance(A, Circulant):
         return A.matvec
     if isinstance(A, Toeplitz):
-        spec, real, n = A._spectrum(_solver_size(A)), A.isreal, A.shape[0]
-        return lambda v: spectral_apply(spec, v, n, real)
+        return A._products(_solver_size(A))[0]
     arr = np.asarray(A)
     return lambda v: arr @ v
 
@@ -504,8 +505,9 @@ def pcg_solve(
 
     `apply_A` may be a callable, a structured matrix, or a dense array; a
     Toeplitz operator's products run at _solver_size (see the module
-    docstring).  A circulant preconditioner is checked once, as
-    Circulant.solve would check it, and then applied by spectral division.
+    docstring).  A circulant preconditioner is applied by `M.solve`, which
+    raises SingularMatrixError for a singular M; b's length is checked
+    against M up front.
 
     The solve is a run of refinement cycles.  Each cycle is one PCG run
     (_pcg_cycle) from zero on the residual r0 = b - A x of the current x,
@@ -522,7 +524,7 @@ def pcg_solve(
     so for the Strang preconditioner of a banded T) runs its cycles in the
     2k corner coordinates of _corner_path: an iteration makes no order-n
     transform, only products with two dense 2k-by-2k blocks, a cycle
-    divides by M once to start and once to form dx, and T's own spectrum
+    calls M.solve once to start and once to form dx, and T's own spectrum
     is never built.  The true residual is b - (M x + (T - M) x).  A cycle
     is accurate to about eps cond(M).
     """
@@ -538,19 +540,10 @@ def pcg_solve(
     if bnorm == 0.0:
         return np.zeros_like(bv), SolveReport(0, 0.0, SolveFlag.CONVERGED)
 
-    split = None
-    if M is None:
-        def precond(v):
-            return v
-    else:
-        # M.solve's checks, made once: every residual has b's length
+    split, precond = None, (lambda v: v) if M is None else M.solve
+    if M is not None:
+        # _corner_split reads M before any solve checks b's length
         M._check_operand(bv, "right-hand side")
-        M._check_nonsingular()
-        spec, real, rows = M.ev, M.isreal, M.n
-
-        def precond(v):
-            return spectral_apply(spec, v, rows, real, divide=True)
-
         if isinstance(apply_A, Toeplitz):
             split = _corner_split(apply_A, M)
 
@@ -560,7 +553,7 @@ def pcg_solve(
         def cycle(r0):
             return r0, product, precond, np.vdot, np.linalg.norm, lambda x: x
     else:
-        product, cycle = _corner_path(M, split, precond)
+        product, cycle = _corner_path(M, split)
 
     x, r0, iterations = 0.0, bv, 0
     while True:
@@ -613,11 +606,11 @@ def _pcg_cycle(r, product, precond, inner, norm, lift, target, maxit):
     return lift(x), iterations, None
 
 
-def _corner_path(M, split, precond):
+def _corner_path(M, split):
     """The product and the cycle coordinates of PCG for T = M + D, D = T - M
     living on the 2k corner positions S (see _corner_split).
 
-    A cycle on the residual r0 divides once: g = M^-1 r0.  With E the
+    A cycle on the residual r0 divides once: g = M.solve(r0).  With E the
     n-by-2k selection of S, every residual of the cycle is a r0 + E c and
     every direction and iterate a g + M^-1 E c, for a scalar a and a
     2k-vector c, because M^-1 T = I + M^-1 E D_S E^T.  A residual is held
@@ -625,26 +618,26 @@ def _corner_path(M, split, precond):
     values on S, which every linear combination carries along.  So M p is
     (a, c) read as a residual, and T p is (a, c + D_S v_S).  The
     preconditioner's v_S = a g[S] + Gamma c, with Gamma = E^T M^-1 E a
-    Toeplitz block of M^-1's first column (see _corner_gram).  The inner
-    product needs rho0 = <r0, g>, Gamma's product and h[S] = (M^-H r0)[S],
-    which is g[S] when M is Hermitian (its column its own conjugate cyclic
-    reverse, tested exactly) and else costs one more division; and
+    Toeplitz block of M^-1's first column, M.inv().col (see _corner_gram).
+    The inner product needs rho0 = <r0, g>, Gamma's product and
+    h[S] = (M^-H r0)[S], which is g[S] when M is Hermitian (its column its
+    own conjugate cyclic reverse, tested exactly; M == M.H would build a
+    value) and else costs one more division, M.H.solve(r0); and
     ||r||^2 = |a|^2 ||r0 off S||^2 + ||a r0[S] + c||^2.  An iteration is
-    one product with Gamma and one with D_S.  One division lifts the
+    one product with Gamma and one with D_S.  One M.solve lifts the
     iterate to an n-vector.
 
-    Returns (product, cycle): the product with T as M x + D x, for the
-    true residual, and the map from r0 to _pcg_cycle's coordinates.
+    Returns (product, cycle): the product with T as M.matvec(x) + D x, for
+    the true residual, and the map from r0 to _pcg_cycle's coordinates.
     """
     S, block = split
     n, m = M.n, S.shape[0]
     k = m // 2
-    spec, real = M.ev, M.isreal
     hermitian = np.array_equal(M.col, np.conj(cyclic_reverse(M.col)))
-    gamma = _corner_gram(entries_of(1.0 / spec, real), m)
+    gamma = _corner_gram(M.inv().col, m)
 
     def product(v):
-        out = spectral_apply(spec, v, n, real)
+        out = M.matvec(v)
         out[S] += block @ v[S]
         return out
 
@@ -652,9 +645,9 @@ def _corner_path(M, split, precond):
         return np.concatenate((p[:1], p[1: m + 1] + block @ p[m + 1:]))
 
     def cycle(r0):
-        g = precond(r0)
+        g = M.solve(r0)
         rho0, g_S, r0_S = np.vdot(r0, g), g[S], r0[S]
-        h_S = g_S if hermitian else spectral_apply(np.conj(spec), r0, n, real, divide=True)[S]
+        h_S = g_S if hermitian else M.H.solve(r0)[S]
         off = r0[k: n - k]
         off2 = np.vdot(off, off).real
 
@@ -672,7 +665,7 @@ def _corner_path(M, split, precond):
         def lift(x):
             v = x[0] * r0
             v[S] += x[1: m + 1]
-            return precond(v)
+            return M.solve(v)
 
         r = np.zeros(m + 1, dtype=np.result_type(r0, g, block))
         r[0] = 1.0

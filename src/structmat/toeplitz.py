@@ -17,7 +17,9 @@ holds the full-length spectrum, and dft.py runs the products, at half
 length when T and the vector are both real.  `_spectrum(size)` gives the
 embedding spectrum at any order from `_exact_order()` up, which is below
 m + n - 1 when T is banded: only the one at `embed_order` is cached, in
-`cev`.  The iterative solvers ask it for their own order (see solvers.py).
+`cev`.  `_products(size)` gives the solvers their products with T and its
+adjoint at an order of their own (see solvers.py) from one such spectrum,
+conjugated for the adjoint.
 
 Values are immutable apart from the idempotent `cev` cache fill, which is
 safe under concurrent access: readers observe either no cache or a fully
@@ -41,7 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._structured import Structured
 from ._util import as_vector, frozen, require_finite
 from .config import Config, EmbeddingPolicy, config_get, embedded_size
-from .dft import spectrum_of
+from .dft import spectral_apply, spectrum_of
 from .errors import DimensionMismatchError, UnsupportedOperationError
 
 __all__ = ["Toeplitz"]
@@ -198,6 +200,14 @@ class Toeplitz(Structured):
             self._spec = cev
         return cev
 
+    def _products(self, size: int):
+        """The pair (x -> T x, x -> T^H x) at the order-`size` embedding, for
+        any size >= `_exact_order()`: one spectrum, conjugated for T^H."""
+        spec, real, (m, n) = self._spectrum(size), self.isreal, self.shape
+        spec_h = np.conj(spec)
+        return (lambda x: spectral_apply(spec, x, m, real),
+                lambda x: spectral_apply(spec_h, x, n, real))
+
     def toeprem(self) -> "Toeplitz":
         """Precompute (if needed) the embedding eigenvalues; returns self."""
         self._spectrum()
@@ -263,6 +273,7 @@ class Toeplitz(Structured):
         return Toeplitz.__new__(Toeplitz)._fill(
             require_finite(data, "diagonal vector"), m, n, self._config, spec)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _add_scalar(self, s):
         # every entry sits on some diagonal, so shift the whole vector
         return self._like(self._data + s)

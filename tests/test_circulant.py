@@ -317,6 +317,7 @@ ALGEBRA_OPS = {
     "sub": lambda A, B: A - B,
     "neg": lambda A, B: -A,
     "scale": lambda A, B: 2.5j * A,
+    "div": lambda A, B: A / (2.0 - 1j),
     "add_scalar": lambda A, B: A + (1.5 - 2j),
     "sub_scalar": lambda A, B: A - (0.5 + 1j),
     "transpose": lambda A, B: A.T,
@@ -332,16 +333,18 @@ ALGEBRA_OPS = {
 }
 
 # the operations that mean the same on the dense matrices
-DENSE_ALIKE = ("add", "sub", "neg", "scale", "add_scalar", "sub_scalar", "transpose",
+DENSE_ALIKE = ("add", "sub", "neg", "scale", "div", "add_scalar", "sub_scalar", "transpose",
                "elementwise", "slice", "mul")
 
 # the same operations, made to overflow: H has an entry 1.5e308 (1 + 1j),
-# so doubling it, squaring it or taking its modulus leaves the doubles;
-# the rest (a sign, a transpose, a selection of entries) cannot overflow
+# so doubling it, dividing it by 1e-300, squaring it or taking its modulus
+# leaves the doubles; the rest (a sign, a transpose, a selection of entries)
+# cannot overflow
 OVERFLOWS = {
     "add": lambda H: H + H,
     "sub": lambda H: H - (-H),
     "scale": lambda H: 1e300 * H,
+    "div": lambda H: H / np.float64(1e-300),
     "add_scalar": lambda H: H + 1.5e308,
     "sub_scalar": lambda H: H - (-1.5e308),
     "elementwise": lambda H: H * H,
@@ -399,12 +402,12 @@ def test_algebra_closure_and_cache_coherence(kind, op):
 
     if op in OVERFLOWS:
         big = np.array([1.0, 1.5e308 * (1 + 1j), 2.0])
-        with np.errstate(all="ignore"):  # the operations overflow
-            # the 2-entry column keeps a finite spectrum, 1 +- 1.5e308 (1 + 1j)
-            H = (Circulant(big[:2]) if kind == "circulant"
-                 else Toeplitz.from_diagonals(big, 2, 2))
-            with pytest.raises(ValueError, match="non-finite"):
-                OVERFLOWS[op](H)
+        # the 2-entry column keeps a finite spectrum, 1 +- 1.5e308 (1 + 1j);
+        # the overflow raises ValueError and prints no numpy warning
+        H = (Circulant(big[:2]) if kind == "circulant"
+             else Toeplitz.from_diagonals(big, 2, 2))
+        with pytest.raises(ValueError, match="non-finite"):
+            OVERFLOWS[op](H)
 
 
 def test_solve_matvec_round_trip():

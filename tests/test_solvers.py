@@ -30,6 +30,7 @@ from structmat import (
     toep_divide,
     toep_lstsq,
 )
+from structmat import _structured, circulant
 
 from structmat.dft import spectral_apply
 
@@ -263,8 +264,9 @@ def test_pcg_checks_its_preconditioner_as_solve_does(monkeypatch):
             divisions.append((arr.copy(), out))
         return out
 
-    monkeypatch.setattr(solvers, "spectral_apply", recording)
+    monkeypatch.setattr(circulant, "spectral_apply", recording)
     _, report = pcg_solve(T, T @ np.ones(200), M=M, tol=1e-10)
+    monkeypatch.undo()
     assert len(divisions) == report.iterations
     for r, z in divisions:
         assert same_bits(z, M.solve(r))
@@ -290,8 +292,9 @@ def test_pcg_split_path_divisions_equal_solve(monkeypatch):
         return out
 
     monkeypatch.setattr(solvers, "_corner_split", corner_split)
-    monkeypatch.setattr(solvers, "spectral_apply", recording)
+    monkeypatch.setattr(circulant, "spectral_apply", recording)
     _, report = pcg_solve(T, T @ np.ones(1000), M=M, tol=1e-10)
+    monkeypatch.undo()
     assert report.flag is SolveFlag.CONVERGED and report.iterations > 2
     assert len(splits) == 1 and splits[0] is not None and splits[0][0].size == 76
     assert len(divisions) == 2
@@ -833,7 +836,7 @@ def test_cgls_on_banded_matches_dense_lstsq(policy, T):
 @pytest.mark.parametrize("policy", POLICIES)
 def test_one_by_one_cgls(policy):
     T = Toeplitz([-4.0], config=Config(embedding=policy))
-    x = solvers._cgls(T, np.array([2.0]), solvers.LSTSQ_RTOL)
+    x = solvers._cgls(T, np.array([2.0]))
     assert np.allclose(x, [-0.5], rtol=1e-14, atol=0.0)
 
 
@@ -1073,7 +1076,9 @@ def test_split_pcg_restart_reports_the_true_residual(monkeypatch):
             events.append("d" if divide else "m")
         return spectral_apply(spec, arr, rows, real, divide)
 
-    monkeypatch.setattr(solvers, "spectral_apply", recording)
+    # M.solve divides in circulant.py, M.matvec multiplies in _structured.py
+    monkeypatch.setattr(circulant, "spectral_apply", recording)
+    monkeypatch.setattr(_structured, "spectral_apply", recording)
     x, report = pcg_solve(T, b, M=M, tol=1e-16, maxit=60)
     assert report.flag is SolveFlag.MAX_ITERATIONS and report.iterations == 60
     # a cycle divides once for g = M^-1 r0 and once to form x, then takes
@@ -1202,7 +1207,7 @@ def test_corner_pcg_follows_dense_pcg(n, policy, monkeypatch):
         # iterates: the same PCG in other coordinates, one cycle (tol is
         # out of reach); a non-Hermitian M takes one more division
         divisions.clear()
-        monkeypatch.setattr(solvers, "spectral_apply", recording)
+        monkeypatch.setattr(circulant, "spectral_apply", recording)
         x, report = pcg_solve(T, b, M=M, tol=1e-300, maxit=4)
         monkeypatch.undo()
         assert report.flag is SolveFlag.MAX_ITERATIONS and report.iterations == 4
@@ -1233,7 +1238,7 @@ def test_corner_coordinates_match_dense_vectors(policy):
         m = S.size
         A, Minv = T.full(), np.linalg.inv(M.full())
         r0 = random_complex(rng, n)
-        product, cycle = solvers._corner_path(M, split, M.solve)
+        product, cycle = solvers._corner_path(M, split)
         _, corner_product, corner_precond, inner, norm, lift = cycle(r0)
 
         def residual(r):
@@ -1299,7 +1304,7 @@ def test_corner_pcg_refines_in_a_second_cycle(monkeypatch):
             divisions.append(arr)
         return spectral_apply(spec, arr, rows, real, divide)
 
-    monkeypatch.setattr(solvers, "spectral_apply", recording)
+    monkeypatch.setattr(circulant, "spectral_apply", recording)
     x, report = pcg_solve(T, b, M=M, tol=1e-6, maxit=100)
     assert report.flag is SolveFlag.CONVERGED
     assert len(divisions) == 4  # two cycles, each g and x

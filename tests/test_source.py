@@ -113,3 +113,22 @@ def test_cli_solves_through_the_one_route():
                 for alias in node.names}
     assert imported <= {"_solve", "_solver_size", "levinson_solve"}, sorted(imported)
     assert "_solve" in imported
+
+
+def test_solvers_reach_structured_operands_through_their_classes():
+    # a circulant or Toeplitz operand's spectrum is stored behind its class:
+    # the solvers divide by M.solve, multiply by T._products and read no
+    # stored spectrum, so a change of storage format stays in those classes
+    tree = ast.parse((PACKAGE / "solvers.py").read_text(encoding="utf-8"))
+    spectral = {"spectral_apply", "entries_of", "spectrum_of"}
+    for node in ast.walk(tree):
+        where = f"solvers.py:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert not names & spectral, f"{where} imports {sorted(names & spectral)}"
+        elif isinstance(node, ast.Name):
+            assert node.id not in spectral, f"{where} calls {node.id}"
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in spectral | {"ev", "cev", "_spec", "_spectrum"}, (
+                f"{where} reads .{node.attr}"
+            )

@@ -50,6 +50,18 @@ def test_operator_table_against_dense_oracles():
         with pytest.raises(TypeError):
             hash(A)
 
+    # +, - and * with a scalar keep the class on either side, a 0-d array
+    # included, and a circulant's shifted spectrum stays its column's DFT
+    for s in (2.5 - 0.5j, 3, np.float32(1.5), np.complex64(1j), np.array(2.0),
+              np.array(2.0 - 1j)):
+        for A in (C, T):
+            for op in (operator.add, operator.sub, operator.mul):
+                for got, ref in ((op(A, s), op(oracle[id(A)], s)),
+                                 (op(s, A), op(s, oracle[id(A)]))):
+                    assert type(got) is type(A) and rel_err(got.full(), ref) <= 1e-13
+                    if type(got) is Circulant:
+                        assert rel_err(got.ev, np.fft.fft(got.col)) <= 1e-13
+
     # operands the table does not take: Python's fallback decides
     for A in (C, T):
         assert (A == A.full()) is False and (A == "A") is False and A != [1.0]
@@ -210,16 +222,15 @@ def test_a_spectrum_that_overflows_is_refused_where_it_is_written(tmp_path, caps
     # a carried spectrum: scaling keeps the entries finite and overflows ev[0]
     C = Circulant(np.full(4, 4e307))
     T = Toeplitz.from_diagonals(np.full(3, 4e307), 2, 2)
-    with np.errstate(over="ignore"):  # the scaling itself overflows
+    with refused:
+        C * 1.5
+    if toeprem:
         with refused:
-            C * 1.5
-        if toeprem:
-            with refused:
-                T * 1.5
-        else:
-            S = T * 1.5
-            with refused:
-                S @ np.ones(2)
+            T * 1.5
+    else:
+        S = T * 1.5
+        with refused:
+            S @ np.ones(2)
 
     # the command line builds under toeprem unless told not to
     path = tmp_path / "T.smt"

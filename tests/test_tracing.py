@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from structmat import (Circulant, Toeplitz, cli, fast_len, preconditioners, smtgallery,
-                       solvers, strang)
+from structmat import (Circulant, Toeplitz, cli, fast_len, optimal, preconditioners,
+                       smtgallery, solvers, strang)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -104,6 +104,21 @@ def test_tracer_sees_every_transform(tracing):
     lengths = fft_lengths_under(tracing, "solvers.pcg",
                                 lambda: solvers.pcg_solve(banded, np.ones(64), M))
     assert set(lengths) == {64}  # the division by M; the corners are a dense block
+
+
+def test_tracer_sees_the_preconditioner_solves(tracing):
+    # PCG divides by its preconditioner through M.solve on both of its paths,
+    # so each division is a circulant.solve span inside the solvers.pcg span
+    T = smtgallery("ttridiag", 64, d=4.0)  # Strang's corners are 1-by-1
+    for M, corners in ((strang(T), True), (optimal(T), False)):
+        assert (solvers._corner_split(T, M) is not None) == corners
+        reports = []
+        spans = spans_under(tracing, "solvers.pcg", lambda: reports.append(
+            solvers.pcg_solve(T, np.ones(64), M, tol=1e-10)[1]))
+        solves = sum(span[tracing.NAME] == "circulant.solve" for span in spans)
+        # one cycle: the corner path divides for g and for x, the product
+        # path once per iteration
+        assert solves == (2 if corners else reports[0].iterations) > 0
 
 
 def test_tracer_sees_the_cli_solve_route(tracing, tmp_path, capsys):
