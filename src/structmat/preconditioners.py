@@ -21,7 +21,21 @@ have the closed form
     lambda_i = b_i / conj(a_i),
 
 where a = ev(optimal(A)) and b = ev(optimal(A A*)), which follows from the
-first-order optimality conditions diagonal by diagonal.
+first-order optimality conditions diagonal by diagonal.  It is homogeneous
+of degree 1, so it is computed on A scaled by a power of two that brings
+its largest entry into [1/2, 1), and scaled back: b squares the entries,
+and would overflow on entries near 1e155 and above.
+
+One Gram routine, `_gram_projection_ev`, serves superoptimal and the
+least-squares solver.  It gives ev(optimal(A'^H A')) of order N >= n for an
+m-by-n Toeplitz A, A' its extension to N columns by zero diagonals above,
+from A's diagonal vector alone in O((m + N) log(m + N)).  Superoptimal's b
+is the routine on A^H at N = n.  The conjugate gradient on the normal
+equations (solvers._cgls) divides by `_optimal_normal`, the routine on its
+m-by-n Toeplitz T at an order N it picks, with the eigenvalues floored at
+sqrt(eps) times the largest: the optimal circulant of the whole normal
+matrix, as in R. Chan, Nagy and Plemmons (SIAM J. Matrix Anal. Appl. 15
+(1994)).
 """
 
 from __future__ import annotations
@@ -102,6 +116,10 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
     alone by FFT correlations in O(n log n) (see _gram_projection_ev), so
     neither a dense n-by-n product nor any matvec is ever formed; for dense
     input it is the mean power of the column spectra, in O(n^2 log n).
+    Both are taken on A scaled by 2^-e, with 2^(e-1) <= max |A_ij| < 2^e,
+    and the eigenvalues scaled back by 2^e, so superoptimal(2^k A) is
+    2^k superoptimal(A) bit for bit while neither result overflows or
+    underflows.
     """
     A = _square(A, "superoptimal")
     P = optimal(A)
@@ -114,44 +132,84 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
         ) from err
     if isinstance(A, Circulant):
         return P  # a circulant is its own superoptimal preconditioner
+    n = A.shape[0]
     if isinstance(A, Toeplitz):
-        b = _gram_projection_ev(A)
+        t, e = _unit_scaled(A.t)
+        b = _gram_projection_ev(np.conj(t[::-1]), n, n)  # A A* = (A*)* A*
         real = A.isreal
     else:
         # ev(optimal(A A*)) = (1/n) sum_j |fft(A[:, j])|^2 from the column
         # spectra, in O(n^2 log n) with no n-by-n product; real A takes the
         # half spectra, whose power mirrors to the rest
-        n = A.shape[0]
+        A, e = _unit_scaled(A)
         real = not np.iscomplexobj(A)
         spec = forward(A, n, real, 0)
         b = np.sum(spec.real ** 2 + spec.imag ** 2, axis=1) / n
         b = np.concatenate([b, b[n - b.shape[0]:0:-1]]) if real else b
-    return Circulant._from_spectrum(b / np.conj(P.ev), real)
+    return Circulant._from_spectrum(_ldexp(b / np.conj(_ldexp(P.ev, -e)), e), real)
 
 
-def _gram_projection_ev(T: Toeplitz) -> np.ndarray:
-    """ev(optimal(T T*)) of a square Toeplitz T from t alone, in O(n log n).
+def _optimal_normal(T: Toeplitz, N: int) -> Circulant:
+    """The preconditioner of CGLS on the m-by-n Toeplitz T: the optimal
+    order-N circulant of T'^H T' (see _gram_projection_ev), N >= n.
 
-    The diagonal pair (p, q) of (T T*)[i, k] = sum_j t_{i-j} conj(t_{k-j})
-    lands on lag s = p - q, max(0, n - max(0, p, q) + min(0, p, q)) times.
-    With P = t[d >= 0], N = t[d < 0] and corr(X, Y)[s] = sum_u X[u+s] conj(Y[u])
-    the weighted sum at lag s >= 0 is corr((n-d) P, P) + corr(N, (n+d) N)
-    + max(0, n-s) corr(P, N), and lag -s is its conjugate (T T* is Hermitian).
-    Real t takes half-length rfft/irfft throughout and folds to real values.
+    Its eigenvalues are floored at sqrt(eps) times the largest, so that
+    it is never singular; for T = 0 it is the identity.  Preconditioned CG
+    does not change with the scale of its preconditioner, so T is taken
+    scaled into [1/2, 1), where the Gram products cannot overflow, and the
+    result is not scaled back.
     """
-    n = T.shape[0]
-    L = fast_len(4 * n - 3)
-    d = np.arange(1 - n, n)
-    P = np.where(d >= 0, T.t, 0)
-    N = T.t - P
-    real = T.isreal
-    F = forward([P, (n - d) * P, N, (n + d) * N], L, real)
-    G = [F[1] * np.conj(F[0]) + F[2] * np.conj(F[3]), F[0] * np.conj(F[2])]
-    # lags 0..2n-2, unwrapped as L >= 4n-3
-    same, mixed = inverse(G, L, real)[:, : 2 * n - 1]
-    r = same + np.maximum(n - np.arange(2 * n - 1), 0) * mixed
-    r = np.concatenate([np.conj(r[:0:-1]), r])  # lags 2-2n..2n-2
-    return spectrum_of(_fold(r, np.arange(2 - 2 * n, 2 * n - 1), n) / n)
+    m = T.shape[0]
+    ev = _gram_projection_ev(_unit_scaled(T.t)[0], m, N)
+    top = ev.max()
+    ev = np.maximum(ev, np.sqrt(np.finfo(ev.dtype).eps) * top) if top > 0 else np.ones(N)
+    return Circulant._from_spectrum(ev, T.isreal)
+
+
+def _gram_projection_ev(t, m: int, N: int) -> np.ndarray:
+    """ev(optimal(A'^H A')) of order N, real, for the m-by-n Toeplitz A
+    with diagonal vector t (lags 1-n .. m-1), from t alone.
+
+    A' is the m-by-N Toeplitz that extends A by N - n >= 0 zero diagonals
+    above it; its diagonal vector t' pads t with N - n zeros in front, over
+    lags p = 1-N .. m-1.  Diagonal pair (p, p + s) of
+    (A'^H A')[j, k] = sum_i conj(t'_(i-j)) t'_(i-k) lands on lag s = j - k,
+    once for each row i that keeps j and k in range: for s >= 0 that is
+    N + p - max(0, p - m + N) - max(0, p + s) times.  So with
+    corr(X, Y)[s] = sum_u X[u+s] conj(Y[u]), w_p = N + p - max(0, p - m + N)
+    and v_p = max(0, p), the sum over lag s >= 0 is
+    S(s) = corr(t', w t')[s] - corr(v t', t')[s]: three forward transforms
+    and one inverse at fast_len(m + 2N - 2), which keeps lags 0 .. N-1
+    unwrapped.  Lag -s sums to conj(S(s)), as A'^H A' is Hermitian, and
+    the circulant's column is c_s = (S(s) + conj(S(N - s))) / N.  Its
+    eigenvalues are real; real t takes half-length rfft/irfft throughout.
+    """
+    n = t.shape[0] - m + 1
+    L = fast_len(m + 2 * N - 2)
+    p = np.arange(1 - N, m)
+    a = np.concatenate((np.zeros(N - n, dtype=t.dtype), t))
+    w = N + p - np.maximum(0, p - m + N)
+    real = not np.iscomplexobj(t)
+    F, W, V = forward([a, w * a, np.maximum(0, p) * a], L, real)
+    S = inverse(F * np.conj(W) - V * np.conj(F), L, real)[:N]
+    c = S.copy()
+    c[1:] += np.conj(S[:0:-1])
+    return spectrum_of(c / N).real
+
+
+def _unit_scaled(x):
+    """(x 2^-e, e) for the e with 2^(e-1) <= max |x| < 2^e, or e = 0 for
+    x = 0: the scaling is exact, and the largest entry lands in [1/2, 1)."""
+    x = np.asarray(x)
+    e = int(np.frexp(np.abs(x).max())[1])
+    return _ldexp(x, -e), e
+
+
+def _ldexp(x, e):
+    """x 2^e exactly, barring overflow and underflow, for real or complex x
+    of any numeric dtype; numpy's ldexp takes real operands only."""
+    x = np.ascontiguousarray(x, dtype=np.result_type(x, np.float64))
+    return np.ldexp(x.view(x.real.dtype), e).view(x.dtype)
 
 
 def _fold(values, lags, n):

@@ -166,6 +166,16 @@ def test_precond_optimal_on_circulant_is_identity(tmp_path, capsys):
     assert np.allclose(read_matrix(out).col, [3, 1, 2])
 
 
+def test_precond_superoptimal_of_huge_entries(tmp_path, capsys):
+    src, out = tmp_path / "t.smt", tmp_path / "c.smt"
+    from structmat import write_matrix
+
+    write_matrix(src, Toeplitz([1e200, 1.0, 0.5]))
+    code, _, err = run(capsys, "precond", "superoptimal", str(src), "-o", str(out))
+    assert code == EXIT_OK, err
+    assert np.allclose(read_matrix(out).col, [1e200, 0.0, 0.0], rtol=1e-12, atol=1e188)
+
+
 def test_solve_auto_matches_library(tmp_path, capsys):
     mat = tmp_path / "k.smt"
     rhs = tmp_path / "b.smt"

@@ -18,7 +18,7 @@ from structmat import (
 
 from structmat.preconditioners import _gram_projection_ev
 
-from conftest import dense_circulant, random_complex, rel_err, same_bits
+from conftest import dense_circulant, dense_toeplitz, random_complex, rel_err, same_bits
 
 
 def shift_basis(n):
@@ -272,10 +272,26 @@ def test_gram_projection_matches_dense_oracle(n, complex_entries, monkeypatch):
             if not complex_entries:  # real input takes rfft/irfft only
                 for name in ("fft", "ifft"):
                     m.setattr(np.fft, name, refuse_transform)
-            got = _gram_projection_ev(T)
+            got = _gram_projection_ev(np.conj(T.t[::-1]), n, n)  # T T* = (T*)* T*
         assert rel_err(got, want) <= 1e-14
         if n <= 64:
             assert rel_err(got, gram_projection_by_unit_vectors(T)) <= 1e-14
+
+
+@pytest.mark.parametrize("m, n, N", [(9, 3, 4), (30, 10, 12), (65, 64, 72), (5, 4, 9)])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_gram_projection_at_a_larger_order_matches_its_definition(m, n, N, complex_entries):
+    # the order-N projection of T'^H T', T' the m-by-N extension of T by
+    # zero diagonals above: c_s = sum over (j - k) mod N = s of (T'^H T')_jk / N
+    rng = np.random.default_rng(m * N)
+    t = random_complex(rng, m + n - 1) if complex_entries else rng.standard_normal(m + n - 1)
+    wide = dense_toeplitz(np.concatenate((np.zeros(N - n), t)), m, N)
+    gram = wide.conj().T @ wide
+    lags = np.subtract.outer(np.arange(N), np.arange(N)) % N
+    c = np.array([gram[lags == s].sum() for s in range(N)]) / N
+    got = _gram_projection_ev(t, m, N)
+    assert got.dtype == np.float64
+    assert rel_err(got, np.fft.fft(c)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257])
@@ -294,6 +310,24 @@ def test_dense_superoptimal_matches_the_gram_product(n, complex_entries, monkeyp
         got = superoptimal(A)
     assert got.isreal == (not complex_entries)
     assert rel_err(got.col, want.col) <= 1e-14
+
+
+def test_superoptimal_of_huge_entries_does_not_overflow():
+    # A A* squares the entries: unscaled, 1e200^2 overflowed (a warning,
+    # an error here) and the first column was refused as non-finite
+    C = superoptimal(Toeplitz([1e200, 1.0, 0.5]))
+    assert np.allclose(C.col, [1e200, 0.0, 0.0], rtol=1e-12, atol=1e188)
+
+
+@pytest.mark.parametrize("k", [-600, -500, 0, 500, 600])
+@pytest.mark.parametrize("kind", ["toeplitz", "dense"])
+def test_superoptimal_is_homogeneous_bit_for_bit(k, kind):
+    rng = np.random.default_rng(17)
+    col, row = random_complex(rng, 9), random_complex(rng, 9)
+    col[0] = row[0] = 9.0
+    A = Toeplitz(col, row) if kind == "toeplitz" else Toeplitz(col, row).full()
+    scale = 2.0 ** k  # at |k| = 600, A A* overflows or underflows unless scaled
+    assert np.array_equal(superoptimal(scale * A).col, scale * superoptimal(A).col)
 
 
 def test_superoptimal_of_toeplitz_makes_no_matvec(monkeypatch):

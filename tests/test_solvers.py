@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -713,6 +714,13 @@ def _hpd(rng, n, complex_entries, policy, toeprem=True):
     return Toeplitz(col, config=Config(embedding=policy, toeprem=toeprem))
 
 
+def _cgls_precond_orders(m, n):
+    """The order N of the circulant that CGLS on an m-by-n T divides by, and
+    the transform length of its construction."""
+    N = fast_len(n + n // 8)
+    return N, fast_len(m + 2 * N - 2)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_cgls_runs_at_fast_len(fft_lengths, policy):
     # m + n - 1 = 269 is prime: tight embeds at 269, pow2 at 512
@@ -720,10 +728,14 @@ def test_cgls_runs_at_fast_len(fft_lengths, policy):
     b = random_complex(np.random.default_rng(2), 200)
     fft_lengths.clear()  # T's own cev at construction
     toep_lstsq(T, b)
-    forward = [n for d, n in fft_lengths if d == "forward"]
-    inverse = [n for d, n in fft_lengths if d == "inverse"]
-    assert set(forward) == set(inverse) == {fast_len(269)} == {270}
-    assert len(forward) == len(inverse) + 1  # one transform builds the spectrum
+    N, L = _cgls_precond_orders(200, 70)
+    assert {n for _, n in fft_lengths} == {fast_len(269), N, L} == {270, 80, 360}
+    at = Counter(fft_lengths)
+    assert at["forward", 270] == at["inverse", 270] + 1  # one transform builds the spectrum
+    # M's Gram correlations: one forward call on three rows, one inverse
+    assert (at["forward", L], at["inverse", L]) == (1, 1)
+    # M's spectrum and column, then a transform pair per division
+    assert at["forward", N] == at["inverse", N] > 2
     fft_lengths.clear()
     T @ b[:70]
     assert {n for _, n in fft_lengths} == {T.embed_order}
@@ -745,19 +757,22 @@ def test_pcg_runs_at_fast_len(fft_lengths, policy, complex_entries):
     assert T.cev is cev and T.embed_order == embedded_size(131, 131, policy)
 
 
-@pytest.mark.parametrize("solve, T", [
+@pytest.mark.parametrize("solve, T, precond", [
     # tight at m + n - 1 = 1024 and pow2 at 2n - 1 = 1023 both embed at 1024
     (lambda T: toep_lstsq(T, np.ones(768)),
-     _tall(np.random.default_rng(4), 768, 257, True, EmbeddingPolicy.TIGHT)[0]),
+     _tall(np.random.default_rng(4), 768, 257, True, EmbeddingPolicy.TIGHT)[0],
+     _cgls_precond_orders(768, 257)),
     (lambda T: pcg_solve(T, np.ones(512), tol=1e-10),
-     _hpd(np.random.default_rng(5), 512, False, EmbeddingPolicy.POW2)),
+     _hpd(np.random.default_rng(5), 512, False, EmbeddingPolicy.POW2), ()),
 ], ids=["cgls-tight", "pcg-pow2"])
-def test_solvers_reuse_cev_at_fast_len(fft_lengths, solve, T):
+def test_solvers_reuse_cev_at_fast_len(fft_lengths, solve, T, precond):
     assert T.embed_order == fast_len(sum(T.shape) - 1) == 1024
     solve(T)
-    forward = [n for d, n in fft_lengths if d == "forward"]
-    inverse = [n for d, n in fft_lengths if d == "inverse"]
-    assert set(forward) == {1024} and len(forward) == len(inverse)
+    # every product at 1024, none building a spectrum; CGLS's preconditioner
+    # transforms at its own two lengths, 300 and 1440
+    assert {n for _, n in fft_lengths} == {1024, *precond}
+    at = Counter(fft_lengths)
+    assert at["forward", 1024] == at["inverse", 1024]
 
 
 def _banded_tall(rng, m, n, lo, hi, complex_entries, policy):
@@ -775,7 +790,9 @@ def test_banded_solvers_run_at_their_exact_order(fft_lengths, policy):
     T = _banded_tall(np.random.default_rng(11), 200, 70, -3, 5, True, policy)
     fft_lengths.clear()
     toep_lstsq(T, np.ones(200))
-    assert {n for _, n in fft_lengths} == {fast_len(203)} == {216}
+    # the products at 216; the preconditioner, built from all of t, at 80 and 360
+    assert {n for _, n in fft_lengths} == {fast_len(203), *_cgls_precond_orders(200, 70)}
+    assert fast_len(203) == 216
     # Hermitian, lags -10 .. 10: 131 + 10 = 141, rounded up to 144
     col = np.zeros(131)
     col[:11] = 1.0 / (1.0 + np.arange(11))
@@ -815,22 +832,29 @@ def test_pcg_on_banded_matches_dense_solve(policy, T):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("T", [
-    lambda pol: _gallery("ttridiag", 240, pol, d=4.0)[:, :160],
-    lambda pol: _gallery("ttoeppen", 240, pol)[:, :160],
-    lambda pol: _gallery("tgrcar", 240, pol)[:, :160],
-    lambda pol: _gallery("gaussian", 240, pol, p=0.5)[:, :160],
-    lambda pol: _banded_tall(np.random.default_rng(13), 200, 80, -5, 7, True, pol),
-    lambda pol: _banded_tall(np.random.default_rng(14), 200, 80, 2, 9, False, pol),
-    lambda pol: _banded_tall(np.random.default_rng(15), 200, 80, -3, 0, False, pol),
+@pytest.mark.parametrize("T, full_rank", [
+    (lambda pol: _gallery("ttridiag", 240, pol, d=4.0)[:, :160], True),
+    (lambda pol: _gallery("ttoeppen", 240, pol)[:, :160], True),
+    (lambda pol: _gallery("tgrcar", 240, pol)[:, :160], True),
+    (lambda pol: _gallery("gaussian", 240, pol, p=0.5)[:, :160], True),
+    (lambda pol: _banded_tall(np.random.default_rng(13), 200, 80, -5, 7, True, pol), True),
+    (lambda pol: _banded_tall(np.random.default_rng(14), 200, 80, 2, 9, False, pol), True),
+    # lags -3 .. 0: an upper triangular band over zero rows, cond 2.7e20
+    (lambda pol: _banded_tall(np.random.default_rng(15), 200, 80, -3, 0, False, pol), False),
 ], ids=["ttridiag", "ttoeppen", "tgrcar", "gaussian", "complex-band", "lower", "upper"])
-def test_cgls_on_banded_matches_dense_lstsq(policy, T):
+def test_cgls_on_banded_matches_dense_lstsq(policy, T, full_rank):
     T = T(policy)
     m, n = T.shape
     assert T._exact_order() < m + n - 1 and T.policy is policy
     b = random_complex(np.random.default_rng(m + n), m)
-    want, *_ = np.linalg.lstsq(dense_toeplitz(T.t, m, n), b, rcond=None)
-    assert rel_err(toep_lstsq(T, b), want) <= 1e-9
+    A = dense_toeplitz(T.t, m, n)
+    want, *_ = np.linalg.lstsq(A, b, rcond=None)
+    x = toep_lstsq(T, b)
+    # the least-squares residual is unique; x is unique only at full rank,
+    # and numerically rank-deficient input need not give lstsq's minimum-norm x
+    assert rel_err(b - A @ x, b - A @ want) <= 1e-9
+    if full_rank:
+        assert rel_err(x, want) <= 1e-9
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -852,27 +876,62 @@ def test_zero_matrix_outcomes(policy):
 
 
 def test_cgls_names_non_convergence():
-    # full rank (cond 6.8e3), but the normal equations (cond 4.6e7) do not
-    # converge to LSTSQ_RTOL within 5n iterations
+    # full rank (cond 6.8e3): unpreconditioned, the normal equations (cond
+    # 4.6e7) did not converge to LSTSQ_RTOL within 5n = 800 iterations, and
+    # CGLS raised; preconditioned, it converges in about 100
     T = smtgallery("ttridiag", 240)[:, :160]
     b = random_complex(np.random.default_rng(0), 240)
-    with pytest.raises(RankDeficientError,
-                       match="CGLS did not converge: .* stagnated after 800 iterations; "
-                             "the input is rank deficient or too ill-conditioned"):
-        toep_lstsq(T, b)
+    want, *_ = np.linalg.lstsq(T.full(), b, rcond=None)
+    assert rel_err(toep_lstsq(T, b), want) <= 1e-10
+
+
+@pytest.mark.parametrize("T", [
+    lambda: smtgallery("ttridiag", 400)[:, :300],  # cond 2.4e4
+    lambda: smtgallery("ttridiag", 600)[:, :500],  # cond 6.5e4
+    lambda: smtgallery("tkms", 300, rho=0.999)[:, :200],  # cond 4.5e5
+], ids=["ttridiag-400", "ttridiag-600", "tkms"])
+def test_cgls_converges_on_full_rank_slices(T):
+    # each raised RankDeficientError at the 5n cap before CGLS was preconditioned
+    T = T()
+    m, _ = T.shape
+    b = random_complex(np.random.default_rng(m), m)
+    want, *_ = np.linalg.lstsq(T.full(), b, rcond=None)
+    assert rel_err(toep_lstsq(T, b), want) <= 1e-9
+
+
+def test_cgls_iterations_on_a_random_tall_system(monkeypatch):
+    # 900-by-300 complex normal diagonals, like direct_complex's tall ops:
+    # 51-62 iterations unpreconditioned; an iteration is one product with T
+    rng = np.random.default_rng(31)
+    t = random_complex(rng, 1199)
+    T = Toeplitz.from_diagonals(t, 900, 300)
+    b = random_complex(rng, 900)
+    calls = []
+    products = Toeplitz._products
+
+    def counting(self, size):
+        product, adjoint = products(self, size)
+        return (lambda x: calls.append(1) or product(x)), adjoint
+
+    monkeypatch.setattr(Toeplitz, "_products", counting)
+    x = toep_lstsq(T, b)
+    assert 0 < len(calls) <= 45
+    want, *_ = np.linalg.lstsq(dense_toeplitz(t, 900, 300), b, rcond=None)
+    assert rel_err(x, want) <= 1e-10
 
 
 @pytest.mark.parametrize("case", ["zero", "cap"])
 def test_cgls_says_what_stopped_it(case):
     # both ways out of the loop without convergence: A p = 0 on the zero
-    # matrix at the first iteration, and the 5n cap on the ttridiag slice
+    # matrix at the first iteration, and the 5n cap on the tprolate slice
+    # (cond 6.9e15)
     if case == "zero":
         T, b = Toeplitz.from_diagonals(np.zeros(279), 200, 80), np.ones(200)
         stop, ran = "A p is zero or not finite", "1 iteration"
     else:
-        T = smtgallery("ttridiag", 240)[:, :160]
-        b = random_complex(np.random.default_rng(0), 240)
-        stop, ran = "iteration cap 5n reached", "800 iterations"
+        T = smtgallery("tprolate", 200)[:, :120]
+        b = random_complex(np.random.default_rng(0), 200)
+        stop, ran = "iteration cap 5n reached", "600 iterations"
     message = (f"CGLS did not converge: {stop}; normal-equations residual stagnated after "
                f"{ran}; the input is rank deficient or too ill-conditioned")
     with pytest.raises(RankDeficientError, match=f"^{re.escape(message)}$"):
