@@ -313,8 +313,8 @@ def test_dense_superoptimal_matches_the_gram_product(n, complex_entries, monkeyp
 
 
 def test_superoptimal_of_huge_entries_does_not_overflow():
-    # A A* squares the entries: unscaled, 1e200^2 overflowed (a warning,
-    # an error here) and the first column was refused as non-finite
+    # A A* squares the entries: 1e200^2 overflows (a numpy warning, an
+    # error under this suite's filter) unless superoptimal scales A first
     C = superoptimal(Toeplitz([1e200, 1.0, 0.5]))
     assert np.allclose(C.col, [1e200, 0.0, 0.0], rtol=1e-12, atol=1e188)
 

@@ -876,9 +876,9 @@ def test_zero_matrix_outcomes(policy):
 
 
 def test_cgls_names_non_convergence():
-    # full rank (cond 6.8e3): unpreconditioned, the normal equations (cond
-    # 4.6e7) did not converge to LSTSQ_RTOL within 5n = 800 iterations, and
-    # CGLS raised; preconditioned, it converges in about 100
+    # full rank (cond 6.8e3): its normal equations (cond 4.6e7) need the
+    # circulant preconditioner to reach LSTSQ_RTOL within 5n = 800
+    # iterations (about 100 with it)
     T = smtgallery("ttridiag", 240)[:, :160]
     b = random_complex(np.random.default_rng(0), 240)
     want, *_ = np.linalg.lstsq(T.full(), b, rcond=None)
@@ -891,7 +891,7 @@ def test_cgls_names_non_convergence():
     lambda: smtgallery("tkms", 300, rho=0.999)[:, :200],  # cond 4.5e5
 ], ids=["ttridiag-400", "ttridiag-600", "tkms"])
 def test_cgls_converges_on_full_rank_slices(T):
-    # each raised RankDeficientError at the 5n cap before CGLS was preconditioned
+    # full rank, but unpreconditioned CGLS hits the 5n cap on each
     T = T()
     m, _ = T.shape
     b = random_complex(np.random.default_rng(m), m)
