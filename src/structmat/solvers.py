@@ -38,11 +38,16 @@ only through its methods: M.solve divides, M.matvec multiplies and
 M.inv() gives M^-1's first column.  No solver reads a stored spectrum.  Every transform is a call into dft.py,
 half-length on real data.
 
-PCG has one iteration loop, _pcg_cycle, which runs from zero on a
-residual.  pcg_solve calls it in refinement cycles: x += dx, then the true
-residual b - A x starts the next cycle, until it meets tol, on breakdown,
-or when maxit iterations over all cycles are spent.  Two paths feed the
-loop.  The product path hands it n-vectors and the product above.  With a
+PCG and CGLS share one conjugate-gradient loop, _cg_cycle, which runs
+from zero on a residual with the callables each solver hands it: the
+product, the curvature of a direction, the gradient at a residual and the
+preconditioner.  PCG's gradient is its residual and its curvature p^H A p;
+CGLS's residual is b - T x, its curvature ||T p||^2 and its gradient
+T^H r, recomputed from r every iteration.  pcg_solve calls the loop in
+refinement cycles: x += dx, then the true residual b - A x starts the next
+cycle, until it meets tol, on breakdown, or when maxit iterations over all
+cycles are spent.  Two paths feed PCG's cycles.  The product path hands
+the loop n-vectors and the product above.  With a
 square Toeplitz T and a circulant preconditioner M of its order, PCG takes
 the corner path when T - M is zero outside two k-by-k corner blocks with
 4k <= n and (2k)^2 <= n log2(n): so for the Strang preconditioner of a T
@@ -174,6 +179,12 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     BACKWARD_RTOL, or BreakdownError is raised.  So an ill-conditioned
     system whose recursion loses all accuracy, or overflows, raises instead
     of returning a meaningless x, and numpy emits no warning on the way.
+    A certified x can still show T numerically singular: since
+    cond_1(T) >= ||T||_1 ||x||_1 / ||b||_1, SingularMatrixError is raised
+    when eps ||T||_1 ||x||_1 >= ||b||_1, the rule cond_1(T) eps >= 1 of the
+    dense path (see _dense_solve).  tprolate 300 with a random b passes the
+    certificate with ||x|| = 2.6e24 at a relative residual of 1.2e9, and
+    raises here.
     """
     if not isinstance(T, Toeplitz):
         raise TypeError("levinson_solve expects a Toeplitz matrix")
@@ -201,12 +212,18 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     sums = np.concatenate(([0.0], np.cumsum(np.abs(a))))
     norm_T = (sums[n:] - sums[:n]).max()
     error = np.abs(r).sum()
-    bound = norm_T * np.abs(x).sum() + np.abs(bv).sum()
+    norm_x, norm_b = np.abs(x).sum(), np.abs(bv).sum()
+    bound = norm_T * norm_x + norm_b
     # written to fail on NaN, and on an overflowed x, whose bound is not finite
     if not (error <= BACKWARD_RTOL * bound and np.isfinite(bound)):
         cause = (f"backward error {error / bound:.1e} exceeds {BACKWARD_RTOL:.0e}"
                  if np.isfinite(bound) else "overflow in the solution")
         raise BreakdownError(f"Levinson {cause}; {_FALLBACK_ADVICE}")
+    # cond_1(T) >= ||T||_1 ||x||_1 / ||b||_1: _dense_solve's rule, failing on
+    # NaN, with x = 0 for b = 0 let through
+    if not (np.finfo(x.dtype).eps * norm_T * norm_x < norm_b or norm_x == 0):
+        raise SingularMatrixError(
+            f"numerically singular: condition number at least {norm_T * norm_x / norm_b:.1e}")
     return x
 
 
@@ -362,12 +379,13 @@ def toep_lstsq(T: Toeplitz, b) -> np.ndarray:
 
     Below LSTSQ_DENSE_CUTOFF columns _dense_solve's Householder QR is used;
     above it, preconditioned conjugate gradient on the normal equations
-    T* T x = T* b with fast Toeplitz products (CGLS, see _cgls).  It
-    divides by the optimal circulant of the normal matrix (T. Chan, SIAM
-    J. Sci. Stat. Comput. 9 (1988); R. Chan, Nagy and Plemmons, SIAM J.
-    Matrix Anal. Appl. 15 (1994)), which takes 3:1 complex random systems
-    from 51-62 iterations to about 30, and it stops when
-    ||T*(b - T x)|| <= LSTSQ_RTOL ||T* b||.  Underdetermined input raises.
+    T* T x = T* b with fast Toeplitz products (CGLS, see _cgls), which
+    iterates in PCG's loop, _cg_cycle.  It divides by the optimal circulant
+    of the normal matrix (T. Chan, SIAM J. Sci. Stat. Comput. 9 (1988);
+    R. Chan, Nagy and Plemmons, SIAM J. Matrix Anal. Appl. 15 (1994)),
+    which takes 3:1 complex random systems from 51-62 iterations to about
+    30, and it stops when ||T*(b - T x)|| <= LSTSQ_RTOL ||T* b||.
+    Underdetermined input raises.
 
     Only the QR path detects numerical rank deficiency and raises
     RankDeficientError.  A full-rank system has one least-squares
@@ -376,7 +394,8 @@ def toep_lstsq(T: Toeplitz, b) -> np.ndarray:
     solution but not, in general, the minimum-norm one (the 128-by-64
     all-ones T with b = ones gives ||x|| = 0.59, not 0.125).  CGLS raises
     RankDeficientError when it does not converge, at the 5n iteration cap
-    or at the first iteration whose A p = T p is zero or not finite; the
+    or at the first iteration whose A p = T p is zero or not finite (or
+    whose residual has a non-finite entry, after an overflow); the
     message says which stopped it and after how many iterations, and names
     both causes it cannot tell apart: rank deficiency, or a full-rank
     system too ill-conditioned for the normal equations.
@@ -401,45 +420,35 @@ def _cgls(T: Toeplitz, b):
     T's products at _solver_size(T), dividing by P, the leading n-by-n
     block of M^-1 for the circulant M = _optimal_normal(T, N) of order
     N >= n (see the module docstring).  P is Hermitian positive definite,
-    applied as x -> M.solve([x; 0])[:n].  The stop tests the
+    applied as x -> M.solve([x; 0])[:n].  It runs _cg_cycle on the residual
+    r = b - T x with the curvature ||T p||^2, and the gradient T^H r
+    recomputed from r every iteration, never updated; the stop tests the
     unpreconditioned ||T^H r|| (see toep_lstsq)."""
     n = T.shape[1]
     product, adjoint = T._products(_solver_size(T))
     dtype = np.result_type(T.dtype, b.dtype, np.float64)
-    x = np.zeros(n, dtype=dtype)
     r = b.astype(dtype)
     if not r.any():  # b = 0
-        return x
+        return np.zeros(n, dtype=dtype)
     M = _optimal_normal(T, fast_len(n + n // 8))
     padded = np.zeros(M.n, dtype=dtype)
 
     def precond(s):
         padded[:n] = s
-        return M.solve(padded)[:n]
+        z = M.solve(padded)[:n]
+        return z, np.real(np.vdot(s, z))
+
+    def gradient(r):
+        s = adjoint(r)
+        return s, np.linalg.norm(s)
 
     s = adjoint(r)
-    target = LSTSQ_RTOL * np.linalg.norm(s)
-    z = precond(s)
-    p = z
-    gamma = np.real(np.vdot(s, z))
-    maxit = 5 * n
-    stop = "iteration cap 5n reached"
-    for k in range(1, maxit + 1):
-        q = product(p)
-        qq = np.real(np.vdot(q, q))
-        if qq == 0.0 or not np.isfinite(qq):
-            stop = "A p is zero or not finite"
-            break
-        alpha = gamma / qq
-        x += alpha * p
-        r -= alpha * q
-        s = adjoint(r)
-        if np.linalg.norm(s) <= target:
-            return x
-        z = precond(s)
-        gamma_new = np.real(np.vdot(s, z))
-        p = z + (gamma_new / gamma) * p
-        gamma = gamma_new
+    x, k, flag = _cg_cycle(r, s, product, lambda q, p: np.real(np.vdot(q, q)), gradient,
+                           precond, LSTSQ_RTOL * np.linalg.norm(s), 5 * n)
+    if flag is SolveFlag.CONVERGED:
+        return x
+    stop = ("A p is zero or not finite" if flag is SolveFlag.BREAKDOWN
+            else "iteration cap 5n reached")
     raise RankDeficientError(
         f"CGLS did not converge: {stop}; normal-equations residual stagnated after "
         f"{k} iteration{'s' if k > 1 else ''}; the input is rank deficient or too "
@@ -489,6 +498,8 @@ def _corner_split(T: Toeplitz, M: Circulant):
     (S, D_S).  Entries of D_S below the smallest normal double are set to
     zero: a Gaussian kernel's tail holds hundreds of subnormals (342 at
     n = 5000, k = 86), and they make the block product several times slower.
+    They are zeroed once in D's folded diagonal, of length n, before the
+    block copies each of them along a whole diagonal.
     """
     n = M.n
     d = T.t - np.concatenate((M.col[1:], M.col))
@@ -503,10 +514,10 @@ def _corner_split(T: Toeplitz, M: Circulant):
     # lag of each pair.  Within a corner the lags are |l| < k, where D is zero.
     folded = d[n - 1:].copy()
     folded[1:] += d[: n - 1]
+    parts = folded.view(folded.real.dtype)  # real and imaginary parts
+    parts[np.abs(parts) < np.finfo(parts.dtype).tiny] = 0
     block = _corner_gram(folded, 2 * k)
     block[:k, :k] = block[k:, k:] = 0
-    parts = block.view(block.real.dtype)  # real and imaginary parts
-    parts[np.abs(parts) < np.finfo(parts.dtype).tiny] = 0
     return S, block
 
 
@@ -537,10 +548,10 @@ def pcg_solve(
     raises SingularMatrixError for a singular M; b's length is checked
     against M up front.
 
-    The solve is a run of refinement cycles.  Each cycle is one PCG run
-    (_pcg_cycle) from zero on the residual r0 = b - A x of the current x,
-    starting with r0 = b, and stops when its recurrence residual satisfies
-    ||r|| <= tol * ||b||.  Then x += dx, and the true residual is
+    The solve is a run of refinement cycles.  Each cycle is one run of the
+    conjugate-gradient loop _cg_cycle, which CGLS shares, from zero on the
+    residual r0 = b - A x of the current x, starting with r0 = b, and stops
+    when its recurrence residual satisfies ||r|| <= tol * ||b||.  Then x += dx, and the true residual is
     recomputed; the solve stops when it meets tol (converged), on
     breakdown, or after `maxit` iterations over all cycles.  The report
     carries the last true relative residual.  A cycle that misses tol,
@@ -568,7 +579,7 @@ def pcg_solve(
     if bnorm == 0.0:
         return np.zeros_like(bv), SolveReport(0, 0.0, SolveFlag.CONVERGED)
 
-    split, precond = None, (lambda v: v) if M is None else M.solve
+    split, solve = None, (lambda v: v) if M is None else M.solve
     if M is not None:
         # _corner_split reads M before any solve checks b's length
         M._check_operand(bv, "right-hand side")
@@ -577,61 +588,77 @@ def pcg_solve(
 
     if split is None:
         product = _as_operator(apply_A)
+        rules = _pcg_callables(np.vdot, np.linalg.norm, solve)
 
         def cycle(r0):
-            return r0, product, precond, np.vdot, np.linalg.norm, lambda x: x
+            return r0, product, *rules, lambda x: x
     else:
         product, cycle = _corner_path(M, split)
 
     x, r0, iterations = 0.0, bv, 0
     while True:
-        dx, steps, flag = _pcg_cycle(*cycle(r0), tol * bnorm, maxit - iterations)
+        r, *callables, lift = cycle(r0)
+        dx, steps, flag = _cg_cycle(r, r, *callables, tol * bnorm, maxit - iterations)
         iterations += steps
-        x = x + dx
+        x = x + lift(dx)
         r0 = bv - product(x)
         rel = float(np.linalg.norm(r0) / bnorm)
-        if flag is not None or rel <= tol or iterations == maxit:
+        if flag is SolveFlag.BREAKDOWN or rel <= tol or iterations == maxit:
             break
-    if flag is None:
+    if flag is not SolveFlag.BREAKDOWN:
         flag = SolveFlag.CONVERGED if rel <= tol else SolveFlag.MAX_ITERATIONS
     return x, SolveReport(iterations, rel, flag)
 
 
-def _pcg_cycle(r, product, precond, inner, norm, lift, target, maxit):
-    """PCG from x = 0 on the residual r, in whatever coordinates the five
-    callables share: `product` maps a direction to its image under the
-    operator, a residual; `precond` a residual to a direction;
-    inner(r, z) = r^H z for a residual r and a direction z; norm(r) is
-    ||r||; and lift(x) is the iterate, a direction, as an n-vector.
+def _pcg_callables(inner, norm, solve):
+    """PCG's curvature, gradient and preconditioner for _cg_cycle, from the
+    inner product inner(r, z) = r^H z of a residual r and a direction z,
+    the norm of a residual and the map `solve` of a residual to a direction.
+    The gradient is the residual itself."""
 
-    Stops when norm(r) <= target, after `maxit` iterations, or on
-    breakdown: p^H A p zero or not finite, or a residual with a
-    non-finite entry.  Returns (lift(x), iterations, flag), the flag
-    BREAKDOWN or None.
+    def precond(r):
+        z = solve(r)
+        return z, inner(r, z)
+
+    return (lambda q, p: np.conj(inner(q, p))), (lambda r: (r, norm(r))), precond
+
+
+def _cg_cycle(r, g, product, curvature, gradient, precond, target, maxit):
+    """Preconditioned conjugate gradient from x = 0: the one CG loop of
+    PCG and CGLS, in whatever coordinates its callables share.
+
+    r is the residual and g the gradient at x = 0.  product(p) maps a
+    direction p to q, the change of the residual along it; curvature(q, p)
+    is p's curvature, p^H A p for PCG's operator A and ||T p||^2 for CGLS;
+    gradient(r) is (g, ||g||) at the residual r; and precond(g) is (z, rho)
+    for the preconditioned gradient z and rho = g^H z.
+
+    Stops with CONVERGED when ||g|| <= target, with MAX_ITERATIONS after
+    `maxit` iterations, or with BREAKDOWN: a curvature zero or not finite,
+    or a residual with a non-finite entry.  Returns (x, iterations, flag).
     """
-    z = precond(r)
+    z, rho = precond(g)
     x = np.zeros(z.shape, dtype=np.result_type(r, z))
-    p, rho = z, inner(r, z)
+    p = z
     for iterations in range(1, maxit + 1):
         q = product(p)
-        pq = np.conj(inner(q, p))
+        pq = curvature(q, p)
         if not np.isfinite(pq) or pq == 0.0:
-            return lift(x), iterations, SolveFlag.BREAKDOWN
+            return x, iterations, SolveFlag.BREAKDOWN
         alpha = rho / pq
         x = x + alpha * p  # out of place: a complex operator upcasts a real x
         r = r - alpha * q
-        rnorm = norm(r)
+        g, gnorm = gradient(r)
         # a non-finite entry makes the norm non-finite, but an overflowing
         # norm alone is no breakdown
-        if not np.isfinite(rnorm) and not np.all(np.isfinite(r)):
-            return lift(x), iterations, SolveFlag.BREAKDOWN
-        if rnorm <= target:
-            break
-        z = precond(r)
-        rho_new = inner(r, z)
+        if not np.isfinite(gnorm) and not np.all(np.isfinite(r)):
+            return x, iterations, SolveFlag.BREAKDOWN
+        if gnorm <= target:
+            return x, iterations, SolveFlag.CONVERGED
+        z, rho_new = precond(g)
         p = z + (rho_new / rho) * p
         rho = rho_new
-    return lift(x), iterations, None
+    return x, maxit, SolveFlag.MAX_ITERATIONS
 
 
 def _corner_path(M, split):
@@ -656,7 +683,8 @@ def _corner_path(M, split):
     iterate to an n-vector.
 
     Returns (product, cycle): the product with T as M.matvec(x) + D x, for
-    the true residual, and the map from r0 to _pcg_cycle's coordinates.
+    the true residual, and the map from r0 to the cycle's start in these
+    coordinates: the residual, _cg_cycle's callables and lift.
     """
     S, block = split
     n, m = M.n, S.shape[0]
@@ -697,7 +725,7 @@ def _corner_path(M, split):
 
         r = np.zeros(m + 1, dtype=np.result_type(r0, g, block))
         r[0] = 1.0
-        return r, corner_product, corner_precond, inner, norm, lift
+        return r, corner_product, *_pcg_callables(inner, norm, corner_precond), lift
 
     return product, cycle
 

@@ -315,6 +315,22 @@ def test_solve_levinson_ill_conditioned_exit_code(tmp_path, capsys, name, n):
     assert err.startswith("error: BreakdownError: Levinson backward error ")
 
 
+@pytest.mark.parametrize("n", [300, 800])
+def test_solve_numerically_singular_toeplitz_exit_code(tmp_path, capsys, n):
+    # tprolate with a random b passes Levinson's backward-error certificate,
+    # but its answer shows cond_1(T) eps >= 1
+    from structmat import write_matrix
+
+    mat, rhs = tmp_path / "t.smt", tmp_path / "b.smt"
+    write_matrix(mat, smtgallery("tprolate", n))
+    write_matrix(rhs, np.random.default_rng(0).standard_normal(n))
+    code, out, err = run(capsys, "solve", str(mat), str(rhs))
+    assert code == EXIT_NUMERICAL and out == ""
+    assert err.startswith("error: SingularMatrixError: numerically singular: "
+                          "condition number at least ")
+    assert err.count("\n") == 1
+
+
 def test_solve_levinson_overflow_exit_code(tmp_path, capsys):
     # the solution overflows: one error line on stderr and no numpy warning
     mat = tmp_path / "t.smt"

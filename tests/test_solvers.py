@@ -94,6 +94,34 @@ def test_levinson_certificate_rejects_ill_conditioned_systems():
                 levinson_solve(T, b)
 
 
+@pytest.mark.parametrize("n", [300, 800])
+@pytest.mark.parametrize("solve", [levinson_solve, toep_divide])
+def test_levinson_refuses_numerically_singular_answers(n, solve):
+    # cond_1 1.1e19 and 9.7e19: the recursion and the backward-error
+    # certificate pass, but x reaches 2.6e24 at a relative residual of 1.2e9
+    # (n = 300); eps ||T||_1 ||x||_1 >= ||b||_1 shows cond_1(T) eps >= 1,
+    # the rule of the dense path, which refuses both systems too
+    T = smtgallery("tprolate", n)
+    b = np.random.default_rng(0).standard_normal(n)
+    with pytest.raises(SingularMatrixError,
+                       match=r"^numerically singular: condition number at least \S+$"):
+        solve(T, b)
+    with pytest.raises(SingularMatrixError):
+        solvers._dense_solve(T.full(), b)
+    assert not solve(T, np.zeros(n)).any()  # b = 0 still gives x = 0
+
+
+def test_levinson_answers_an_ill_conditioned_regular_system():
+    # gaussian 800 has cond_1 2.6e10, far from eps^-1: no refusal
+    n = 800
+    T = smtgallery("gaussian", n)
+    b = np.random.default_rng(0).standard_normal(n)
+    x = levinson_solve(T, b)
+    A = T.full()
+    assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-6
+    assert rel_err(x, np.linalg.solve(A, b)) <= 1e-4
+
+
 @pytest.mark.parametrize("n", [527, 1100])
 def test_levinson_overflow_raises_a_typed_error(n):
     # ttriw's inverse grows like 2^n: from n = 527 the Gohberg-Semencul
@@ -901,21 +929,30 @@ def test_cgls_converges_on_full_rank_slices(T):
 
 def test_cgls_iterations_on_a_random_tall_system(monkeypatch):
     # 900-by-300 complex normal diagonals, like direct_complex's tall ops:
-    # 51-62 iterations unpreconditioned; an iteration is one product with T
+    # 51-62 iterations unpreconditioned; an iteration is one product with T,
+    # made in PCG's loop
     rng = np.random.default_rng(31)
     t = random_complex(rng, 1199)
     T = Toeplitz.from_diagonals(t, 900, 300)
     b = random_complex(rng, 900)
-    calls = []
+    calls, loops = [], []
     products = Toeplitz._products
+    cycle = solvers._cg_cycle
 
     def counting(self, size):
         product, adjoint = products(self, size)
         return (lambda x: calls.append(1) or product(x)), adjoint
 
+    def spy(*args):
+        out = cycle(*args)
+        loops.append(out[1])
+        return out
+
     monkeypatch.setattr(Toeplitz, "_products", counting)
+    monkeypatch.setattr(solvers, "_cg_cycle", spy)
     x = toep_lstsq(T, b)
     assert 0 < len(calls) <= 45
+    assert loops == [len(calls)]
     want, *_ = np.linalg.lstsq(dense_toeplitz(t, 900, 300), b, rcond=None)
     assert rel_err(x, want) <= 1e-10
 
@@ -1173,14 +1210,14 @@ def test_pcg_cycles_share_maxit_and_report_the_true_residual(path, monkeypatch):
         M, product = None, T.matvec  # an FFT product, which rounds
     b = np.random.default_rng(3).standard_normal(64)
     cycles = []  # (the cycle's maxit, its iterations)
-    cycle = solvers._pcg_cycle
+    cycle = solvers._cg_cycle
 
     def spy(*args):
         out = cycle(*args)
         cycles.append((args[-1], out[1]))
         return out
 
-    monkeypatch.setattr(solvers, "_pcg_cycle", spy)
+    monkeypatch.setattr(solvers, "_cg_cycle", spy)
     x, report = pcg_solve(product if path == "callable" else T, b, M=M, tol=1e-16, maxit=60)
     assert report.flag is SolveFlag.MAX_ITERATIONS and report.iterations == 60
     assert len(cycles) >= 2
@@ -1298,7 +1335,7 @@ def test_corner_coordinates_match_dense_vectors(policy):
         A, Minv = T.full(), np.linalg.inv(M.full())
         r0 = random_complex(rng, n)
         product, cycle = solvers._corner_path(M, split)
-        _, corner_product, corner_precond, inner, norm, lift = cycle(r0)
+        _, corner_product, curvature, gradient, precond, lift = cycle(r0)
 
         def residual(r):
             out = r[0] * r0
@@ -1306,14 +1343,18 @@ def test_corner_coordinates_match_dense_vectors(policy):
             return out
 
         r, s = random_complex(rng, 2, m + 1)
-        z = corner_precond(s)
+        z, rho = precond(s)
         assert np.array_equal(z[: m + 1], s)
         want = Minv @ residual(s)
         assert rel_err(z[m + 1:], want[S]) <= 1e-12
+        assert rel_err(rho, np.vdot(residual(s), want)) <= 1e-12
         assert rel_err(lift(z), want) <= 1e-12
         assert rel_err(residual(corner_product(z)), A @ want) <= 1e-12
-        assert rel_err(inner(r, z), np.vdot(residual(r), want)) <= 1e-12
-        assert rel_err(norm(r), np.linalg.norm(residual(r))) <= 1e-12
+        # curvature(q, p) = p^H q for a residual q and a direction p
+        assert rel_err(curvature(r, z), np.vdot(want, residual(r))) <= 1e-12
+        g, norm = gradient(r)
+        assert g is r
+        assert rel_err(norm, np.linalg.norm(residual(r))) <= 1e-12
         assert rel_err(product(r0), A @ r0) <= 1e-12
 
 
