@@ -179,12 +179,12 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     BACKWARD_RTOL, or BreakdownError is raised.  So an ill-conditioned
     system whose recursion loses all accuracy, or overflows, raises instead
     of returning a meaningless x, and numpy emits no warning on the way.
-    A certified x can still show T numerically singular: since
-    cond_1(T) >= ||T||_1 ||x||_1 / ||b||_1, SingularMatrixError is raised
-    when eps ||T||_1 ||x||_1 >= ||b||_1, the rule cond_1(T) eps >= 1 of the
-    dense path (see _dense_solve).  tprolate 300 with a random b passes the
-    certificate with ||x|| = 2.6e24 at a relative residual of 1.2e9, and
-    raises here.
+    A certified x can still be meaningless.  For x = T^-1 b,
+    cond_1(T) >= ||T||_1 ||x||_1 / ||b||_1, so SingularMatrixError is raised
+    when eps ||T||_1 ||x||_1 >= ||b||_1: then T is numerically singular by
+    the dense path's rule cond_1(T) eps >= 1 (see _dense_solve), or x is
+    far from T^-1 b.  tprolate 300 with a random b passes the certificate
+    with ||x|| = 2.6e24 at a relative residual of 1.2e9, and raises here.
     """
     if not isinstance(T, Toeplitz):
         raise TypeError("levinson_solve expects a Toeplitz matrix")
@@ -219,11 +219,12 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
         cause = (f"backward error {error / bound:.1e} exceeds {BACKWARD_RTOL:.0e}"
                  if np.isfinite(bound) else "overflow in the solution")
         raise BreakdownError(f"Levinson {cause}; {_FALLBACK_ADVICE}")
-    # cond_1(T) >= ||T||_1 ||x||_1 / ||b||_1: _dense_solve's rule, failing on
-    # NaN, with x = 0 for b = 0 let through
+    # cond_1(T) >= ||T||_1 ||x||_1 / ||b||_1 for x = T^-1 b: _dense_solve's
+    # rule, written to fail on NaN, with x = 0 for b = 0 let through
     if not (np.finfo(x.dtype).eps * norm_T * norm_x < norm_b or norm_x == 0):
         raise SingularMatrixError(
-            f"numerically singular: condition number at least {norm_T * norm_x / norm_b:.1e}")
+            f"numerically singular: ||T||_1 ||x||_1 / ||b||_1 = "
+            f"{norm_T * norm_x / norm_b:.1e} is at least 1/eps")
     return x
 
 
@@ -628,10 +629,11 @@ def _cg_cycle(r, g, product, curvature, gradient, precond, target, maxit):
     PCG and CGLS, in whatever coordinates its callables share.
 
     r is the residual and g the gradient at x = 0.  product(p) maps a
-    direction p to q, the change of the residual along it; curvature(q, p)
-    is p's curvature, p^H A p for PCG's operator A and ||T p||^2 for CGLS;
-    gradient(r) is (g, ||g||) at the residual r; and precond(g) is (z, rho)
-    for the preconditioned gradient z and rho = g^H z.
+    direction p to q, so that the step x + alpha p leaves the residual
+    r - alpha q; curvature(q, p) is p's curvature, p^H A p for PCG's
+    operator A and ||T p||^2 for CGLS; gradient(r) is (g, ||g||) at the
+    residual r; and precond(g) is (z, rho) for the preconditioned gradient
+    z and rho = g^H z.
 
     Stops with CONVERGED when ||g|| <= target, with MAX_ITERATIONS after
     `maxit` iterations, or with BREAKDOWN: a curvature zero or not finite,

@@ -318,7 +318,7 @@ def test_solve_levinson_ill_conditioned_exit_code(tmp_path, capsys, name, n):
 @pytest.mark.parametrize("n", [300, 800])
 def test_solve_numerically_singular_toeplitz_exit_code(tmp_path, capsys, n):
     # tprolate with a random b passes Levinson's backward-error certificate,
-    # but its answer shows cond_1(T) eps >= 1
+    # but eps ||T||_1 ||x||_1 >= ||b||_1 at its answer
     from structmat import write_matrix
 
     mat, rhs = tmp_path / "t.smt", tmp_path / "b.smt"
@@ -327,7 +327,8 @@ def test_solve_numerically_singular_toeplitz_exit_code(tmp_path, capsys, n):
     code, out, err = run(capsys, "solve", str(mat), str(rhs))
     assert code == EXIT_NUMERICAL and out == ""
     assert err.startswith("error: SingularMatrixError: numerically singular: "
-                          "condition number at least ")
+                          "||T||_1 ||x||_1 / ||b||_1 = ")
+    assert err.endswith(" is at least 1/eps\n")
     assert err.count("\n") == 1
 
 

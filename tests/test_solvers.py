@@ -99,12 +99,13 @@ def test_levinson_certificate_rejects_ill_conditioned_systems():
 def test_levinson_refuses_numerically_singular_answers(n, solve):
     # cond_1 1.1e19 and 9.7e19: the recursion and the backward-error
     # certificate pass, but x reaches 2.6e24 at a relative residual of 1.2e9
-    # (n = 300); eps ||T||_1 ||x||_1 >= ||b||_1 shows cond_1(T) eps >= 1,
-    # the rule of the dense path, which refuses both systems too
+    # (n = 300); eps ||T||_1 ||x||_1 >= ||b||_1 refuses it, as the dense
+    # path's rule cond_1(T) eps >= 1 refuses both systems
     T = smtgallery("tprolate", n)
     b = np.random.default_rng(0).standard_normal(n)
     with pytest.raises(SingularMatrixError,
-                       match=r"^numerically singular: condition number at least \S+$"):
+                       match=r"^numerically singular: \|\|T\|\|_1 \|\|x\|\|_1 / \|\|b\|\|_1 = "
+                       r"\S+ is at least 1/eps$"):
         solve(T, b)
     with pytest.raises(SingularMatrixError):
         solvers._dense_solve(T.full(), b)
