@@ -62,7 +62,7 @@ import operator
 
 import numpy as np
 
-from ._util import is_scalar
+from ._util import as_operand, is_scalar
 from .dft import spectral_apply
 from .errors import DimensionMismatchError
 
@@ -137,18 +137,9 @@ class Structured:
     def _spectrum(self):
         return self._spec
 
-    def _check_operand(self, arr, what="operand"):
-        n = self.shape[1]
-        if not arr.shape:
-            raise DimensionMismatchError(f"{what} is a scalar, expected leading dimension {n}")
-        if arr.shape[0] != n:
-            raise DimensionMismatchError(
-                f"{what} has leading dimension {arr.shape[0]}, expected {n}"
-            )
-
     def _apply(self, arr):
-        """The fast product along axis 0 of `arr` (two transforms)."""
-        self._check_operand(arr)
+        """The fast product along axis 0 of `arr`, which has passed
+        `as_operand` (two transforms)."""
         return spectral_apply(self._spectrum(), arr, self.shape[0], self.isreal)
 
     # -- elementwise operators ----------------------------------------------
@@ -228,13 +219,13 @@ class Structured:
             if other.ndim == 1:
                 return self.matvec(other)
             if other.ndim == 2:
-                return self._apply(other)
+                return self._apply(as_operand(other, rows=self.shape[1], matrix=True))
         return NotImplemented
 
     def __rmatmul__(self, other):
         # x @ A is (A^T x^T)^T
         if isinstance(other, np.ndarray) and other.ndim in (1, 2):
-            return self.T._apply(other.T).T
+            return self.T._apply(as_operand(other.T, rows=self.shape[0], matrix=True)).T
         return NotImplemented
 
     # -- transposes and entrywise maps ---------------------------------------

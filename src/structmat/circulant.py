@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._structured import Structured, cyclic_reverse
-from ._util import as_vector, frozen, require_finite
+from ._util import as_operand, frozen, require_finite
 from .dft import entries_of, fourier_matrix, spectral_apply, spectrum_of
 from .errors import SingularMatrixError
 from .toeplitz import Toeplitz
@@ -42,7 +42,7 @@ class Circulant(Structured):
     _rank = 0
 
     def __init__(self, col):
-        c = require_finite(as_vector(col, "first column"), "first column")
+        c = require_finite(as_operand(col, "first column"), "first column")
         self._fill(c.copy())
 
     def _fill(self, col, ev=None):
@@ -94,7 +94,7 @@ class Circulant(Structured):
 
     def matvec(self, x) -> np.ndarray:
         """Fast product C @ x using the cached spectrum."""
-        return self._apply(as_vector(x, "vector"))
+        return self._apply(as_operand(x, rows=self.shape[1]))
 
     def solve(self, b, side: str = "left") -> np.ndarray:
         """Solve C x = b (side='left') or x C = b (side='right').
@@ -105,10 +105,7 @@ class Circulant(Structured):
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        arr = np.asarray(b)
-        if arr.ndim == 1:
-            arr = as_vector(b, "right-hand side")
-        self._check_operand(arr, "right-hand side")
+        arr = as_operand(b, "right-hand side", self.n, matrix=True)
         spectrum = self._spec if side == "left" else cyclic_reverse(self._spec)
         self._check_nonsingular()
         return spectral_apply(spectrum, arr, self.n, self.isreal, divide=True)
@@ -207,7 +204,7 @@ class Circulant(Structured):
         # circulant @ circulant is the one product that stays structured
         if not isinstance(other, Circulant):
             return super().__matmul__(other)
-        self._check_operand(other)
+        as_operand(other.col, rows=self.n)  # other's order is its column's length
         with np.errstate(over="ignore", invalid="ignore"):
             ev = self._spec * other._spec
         return Circulant._from_spectrum(ev, self.isreal and other.isreal)

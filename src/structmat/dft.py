@@ -19,21 +19,21 @@ next 5-smooth one (an rfft/irfft pair takes about 147 us at 5103 = 3^6 * 7
 and 107 us at 5120 on a 2-core Xeon with numpy 2.4), and complex
 transforms gain nothing from it.
 
-Every transform in the package is a `forward` or `inverse` call, which
-looks up `np.fft.<name>` as it runs.  With `real` set, when the operand and
-the exact result are both real, they take the half-length rfft and irfft
-(Sorensen et al., IEEE TASSP 35 (1987)).  A stored spectrum, `ev` or `cev`,
-is always the full-length DFT; for real entries it is Hermitian, its upper
-half the exact conjugate mirror of the lower, and the half-length path
-reads rows 0 .. N//2 only.  `spectrum_of`, `entries_of` and `spectral_apply`
-apply this rule along axis 0.
+Every transform in the package, `dft` and `idft` included, is a `forward`
+or `inverse` call, which looks up `np.fft.<name>` as it runs.  With `real`
+set, when the operand and the exact result are both real, they take the
+half-length rfft and irfft (Sorensen et al., IEEE TASSP 35 (1987)).  A
+stored spectrum, `ev` or `cev`, is always the full-length DFT; for real
+entries it is Hermitian, its upper half the exact conjugate mirror of the
+lower, and the half-length path reads rows 0 .. N//2 only.  `spectrum_of`,
+`entries_of` and `spectral_apply` apply this rule along axis 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._util import as_vector
+from ._util import as_operand
 
 __all__ = ["dft", "idft", "next_pow2", "fast_len", "fourier_matrix", "forward",
            "inverse", "spectrum_of", "entries_of", "spectral_apply"]
@@ -41,12 +41,12 @@ __all__ = ["dft", "idft", "next_pow2", "fast_len", "fourier_matrix", "forward",
 
 def dft(v) -> np.ndarray:
     """Forward DFT of a 1-d vector under the package convention."""
-    return np.fft.fft(as_vector(v))
+    return forward(as_operand(v), None, False)
 
 
 def idft(v) -> np.ndarray:
     """Inverse DFT (with 1/N normalization) of a 1-d vector."""
-    return np.fft.ifft(as_vector(v))
+    return inverse(as_operand(v), None, False)
 
 
 def forward(x, n, real, axis=-1):
@@ -97,15 +97,14 @@ def spectral_apply(spec, arr, rows, real, divide=False):
     `arr` is zero-padded to N = len(spec), so an embedded Toeplitz product
     and a plain circulant product are the same two transforms.  `real` says
     the matrix is real; the transforms are half-length if `arr` is real too.
+    `arr` is float64 or complex128, as the operand rule returns it (see
+    _util.py), so the in-place steps below run in double precision.
     """
     N = spec.shape[0]
     real = real and not np.iscomplexobj(arr)
     spec = _half(spec, real)
     spec = spec.reshape(spec.shape + (1,) * (arr.ndim - spec.ndim))
     freq = forward(arr, N, real, 0)
-    # a single-precision operand transforms to complex64; widen it so the
-    # in-place steps below never round the spectrum or the product down
-    freq = freq.astype(np.result_type(freq, spec), copy=False)
     # keep the operand order: numpy's complex multiply fuses multiply-adds,
     # so spec * freq and freq * spec can differ in the last bit
     if divide:

@@ -15,8 +15,11 @@ the rule of each kind once; writer, reader and the CLI's report use it:
     dense       m n     m*n          the entries, row-major
     vector      n       n            the entries
 
-Circulant and Toeplitz bodies must be finite; dense and vector bodies may
-hold inf/nan.
+Circulant and Toeplitz bodies must be finite (MatrixFileError otherwise);
+dense and vector bodies may hold inf/nan.  A finite body whose value the
+constructor refuses, such as one whose spectrum overflows, is a
+well-formed file: reading it raises the constructor's ValueError, prefixed
+with the path.
 
 Each body is one bulk operation.  Writing makes a single `%` format call
 over all entries; the imaginary field of a non-complex array is always
@@ -167,5 +170,8 @@ def read_matrix(path):
         values = values.real
     try:
         return build(values, *dims)
-    except ValueError as exc:  # non-finite circulant or Toeplitz entries
-        raise MatrixFileError(f"{os.fspath(path)}: {exc}") from None
+    except ValueError as exc:
+        # a non-finite body is a bad file; a finite one whose spectrum
+        # overflows is a well-formed file that describes a bad matrix
+        error = ValueError if np.all(np.isfinite(values)) else MatrixFileError
+        raise error(f"{os.fspath(path)}: {exc}") from None

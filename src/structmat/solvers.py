@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._structured import cyclic_reverse
-from ._util import as_vector
+from ._util import as_operand
 from .circulant import Circulant
 from .config import Config, config_get
 from .dft import fast_len, forward, inverse
@@ -142,16 +142,6 @@ class SolveReport:
     flag: SolveFlag
 
 
-def _rhs(b, rows: int) -> np.ndarray:
-    """The right-hand side `b` as a vector, which must have `rows` entries."""
-    bv = as_vector(b, "right-hand side")
-    if bv.shape[0] != rows:
-        raise DimensionMismatchError(
-            f"right-hand side has length {bv.shape[0]}, expected {rows}"
-        )
-    return bv
-
-
 def _check_overdetermined(m: int, n: int) -> None:
     if m <= n:
         raise UnderdeterminedError(
@@ -191,7 +181,7 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     m, n = T.shape
     if m != n:
         raise DimensionMismatchError(f"levinson_solve requires a square matrix, got {m}x{n}")
-    bv = _rhs(b, n)
+    bv = as_operand(b, "right-hand side", n)
     a = T.t  # a[d + n - 1] holds diagonal d
     scale = np.abs(a).max()
     t0 = a[n - 1]
@@ -407,7 +397,7 @@ def toep_lstsq(T: Toeplitz, b) -> np.ndarray:
     _check_overdetermined(m, n)
     if n < LSTSQ_DENSE_CUTOFF:
         return _dense_solve(T.full(), b)
-    return _cgls(T, _rhs(b, m))
+    return _cgls(T, as_operand(b, "right-hand side", m))
 
 
 def _solver_size(T: Toeplitz) -> int:
@@ -571,7 +561,7 @@ def pcg_solve(
     if not tol > 0:  # NaN fails this too
         raise ValueError(f"tol must be positive, got {tol}")
     order = _order(apply_A)
-    bv = as_vector(b, "right-hand side") if order is None else _rhs(b, order)
+    bv = as_operand(b, "right-hand side", order)
     if maxit is None:
         maxit = bv.shape[0]
     if maxit < 1:
@@ -583,7 +573,7 @@ def pcg_solve(
     split, solve = None, (lambda v: v) if M is None else M.solve
     if M is not None:
         # _corner_split reads M before any solve checks b's length
-        M._check_operand(bv, "right-hand side")
+        as_operand(bv, "right-hand side", M.n)
         if isinstance(apply_A, Toeplitz):
             split = _corner_split(apply_A, M)
 
@@ -747,14 +737,14 @@ def _dense_solve(A: np.ndarray, b) -> np.ndarray:
     condition number tells that its answer is meaningless."""
     m, n = A.shape
     if m == n:
-        x = np.linalg.solve(A, _rhs(b, m))
+        x = np.linalg.solve(A, as_operand(b, "right-hand side", m))
         with np.errstate(all="ignore"):
             cond = np.linalg.cond(A, 1)
         if not cond * np.finfo(x.dtype).eps < 1:  # written to fail on NaN
             raise SingularMatrixError(f"numerically singular: condition number {cond:.1e}")
         return x
     _check_overdetermined(m, n)
-    bv = _rhs(b, m)
+    bv = as_operand(b, "right-hand side", m)
     q, r = np.linalg.qr(A)
     rd = np.abs(np.diag(r))
     if rd.min() <= LSTSQ_RDIAG_RTOL * rd.max():

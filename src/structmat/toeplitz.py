@@ -41,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._structured import Structured
-from ._util import as_vector, frozen, require_finite
+from ._util import as_operand, frozen, require_finite
 from .config import Config, EmbeddingPolicy, config_get, embedded_size
 from .dft import spectral_apply, spectrum_of
 from .errors import DimensionMismatchError, UnsupportedOperationError
@@ -67,11 +67,11 @@ class Toeplitz(Structured):
         row[k] = conj(col[k]).  When both are given their leading entries
         must agree exactly, since both describe the main diagonal.
         """
-        c = require_finite(as_vector(col, "first column"), "first column")
+        c = require_finite(as_operand(col, "first column"), "first column")
         if row is None:
             r = np.concatenate([c[:1], np.conj(c[1:])])
         else:
-            r = require_finite(as_vector(row, "first row"), "first row")
+            r = require_finite(as_operand(row, "first row"), "first row")
             if c[0] != r[0]:
                 raise ValueError(
                     f"first column and first row disagree on the diagonal entry: "
@@ -84,7 +84,7 @@ class Toeplitz(Structured):
     def from_diagonals(cls, t, m: int, n: int, config: Config | None = None) -> "Toeplitz":
         """Build an m-by-n Toeplitz directly from its diagonal vector
         (length m + n - 1, ordered t[1-n], ..., t[m-1])."""
-        tv = require_finite(as_vector(t, "diagonal vector"), "diagonal vector")
+        tv = require_finite(as_operand(t, "diagonal vector"), "diagonal vector")
         m, n = int(m), int(n)
         if m < 1 or n < 1:
             raise ValueError(f"dimensions must be positive, got {m}x{n}")
@@ -93,7 +93,7 @@ class Toeplitz(Structured):
                 f"diagonal vector has {tv.shape[0]} entries, expected {m + n - 1} "
                 f"for a {m}x{n} matrix"
             )
-        # as_vector may return the caller's own array, which must stay writable
+        # as_operand may return the caller's own array, which must stay writable
         return cls.__new__(cls)._fill(tv.copy(), m, n, config)
 
     def _fill(self, t, m, n, config, spec=None):
@@ -160,12 +160,11 @@ class Toeplitz(Structured):
         covers T's band, and the lags it leaves out are zero.
         """
         m, n = self._m, self._n
-        upper = min(n - 1, size - m)  # lags -upper .. -1, at the end
+        upper = min(n - 1, size - m)  # lags -upper .. -1, at the end (none at 0)
         lower = min(m - 1, size - n)  # lags 0 .. lower, at the start
         e = np.zeros(size, dtype=self.dtype)
         e[: lower + 1] = self._data[n - 1: n + lower]
-        if upper > 0:
-            e[size - upper:] = self._data[n - 1 - upper: n - 1]
+        e[size - upper:] = self._data[n - 1 - upper: n - 1]
         return e
 
     def _band(self) -> tuple[int, int]:
@@ -215,7 +214,7 @@ class Toeplitz(Structured):
 
     def matvec(self, x) -> np.ndarray:
         """Fast product T @ x via the circulant embedding."""
-        return self._apply(as_vector(x, "vector"))
+        return self._apply(as_operand(x, rows=self.shape[1]))
 
     # -- structure manipulation ------------------------------------------
 

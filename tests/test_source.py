@@ -69,6 +69,21 @@ def test_ffts_are_called_through_the_numpy_fft_module():
                 assert path.name == "dft.py", f"{where} names np.fft outside dft.py"
 
 
+def test_every_transform_is_a_forward_or_inverse_call():
+    # so a trace of dft.forward and dft.inverse sees every transform, dft()
+    # and idft() included: np.fft.<name> is named only inside those two
+    tree = ast.parse((PACKAGE / "dft.py").read_text(encoding="utf-8"))
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name in ("forward", "inverse")
+              for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft" and numpy_root(node.value)):
+            assert id(node) in inside, (
+                f"dft.py:{node.lineno} calls np.fft.{node.attr} outside forward and inverse"
+            )
+
+
 def module_imports(tree):
     """(bound name, node) of every import at the top level of a module."""
     for node in tree.body:

@@ -9,7 +9,7 @@ import pytest
 from structmat import (Circulant, DimensionMismatchError, Toeplitz, config_set, is_circulant,
                        is_toeplitz)
 from structmat._structured import cyclic_reverse, reversal_index
-from structmat.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from structmat.cli import EXIT_OK, EXIT_USAGE, main
 
 from conftest import dense_circulant, dense_toeplitz, random_complex, rel_err, same_bits
 
@@ -242,6 +242,7 @@ def test_a_spectrum_that_overflows_is_refused_where_it_is_written(tmp_path, caps
         assert err == "error: ValueError: spectrum contains non-finite entries\n"
         if not toeprem:  # written lazily, and refused when read under toeprem
             assert main([*gen, "--no-toeprem"]) == EXIT_OK
-            assert main(["info", str(path)]) == EXIT_IO
+            assert main(["info", str(path)]) == EXIT_USAGE
             assert capsys.readouterr().err == (
-                f"error: MatrixFileError: {path}: spectrum contains non-finite entries\n")
+                f"error: ValueError: {path}: spectrum contains non-finite entries\n")
+            assert main(["info", str(path), "--no-toeprem"]) == EXIT_OK
