@@ -54,6 +54,11 @@ from its data):
     _add_scalar(s)           X + s
     _entries(lags)           the entries on the diagonals i - j = lags
     _block(t, m, n)          the m-by-n contiguous block with diagonal vector t
+
+`as_square` states the rule for a square matrix argument once, for the
+preconditioners and the square solvers: a circulant or Toeplitz value
+passes as it is, anything else is read by `as_operand` and must be 2-d
+(ValueError), and either kind must be square (DimensionMismatchError).
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .errors import DimensionMismatchError
 __all__ = [
     "ENTRYWISE_MAPS",
     "Structured",
+    "as_square",
     "cyclic_reverse",
     "reversal_index",
 ]
@@ -293,6 +299,20 @@ class Structured:
             t = self._entries(np.arange(r[0] - c[-1], r[-1] - c[0] + 1))
             return self._block(t, r.size, c.size)
         return self._entries(np.subtract.outer(r, c))
+
+
+def as_square(A, who):
+    """The square matrix argument of `who` (see the module docstring): a
+    circulant or Toeplitz value as it is, anything else as the array that
+    `as_operand` reads."""
+    if not isinstance(A, Structured):
+        A = as_operand(A, f"the operand of {who}", matrix=True)
+        if A.ndim != 2:
+            raise ValueError(f"{who} expects a matrix, got shape {A.shape}")
+    m, n = A.shape
+    if m != n:
+        raise DimensionMismatchError(f"{who} requires a square matrix, got {m}x{n}")
+    return A
 
 
 def _positions(key, dim):

@@ -1,10 +1,11 @@
 """Circulant preconditioners: Strang, optimal (Frobenius projection) and
 superoptimal, plus a dispatching front end with a user-extensible registry.
 
-The constructors share one operand rule, `_square`: a circulant or
-Toeplitz value passes as it is, anything else is read as a 2-d array
-(which Strang refuses first, with TypeError), and every operand must be
-square.  Each error names the constructor that was called.
+The constructors read their operand by the square-matrix rule,
+`_structured.as_square`: a circulant or Toeplitz value passes as it is,
+anything else is read as a numeric 2-d array (which Strang refuses first,
+with TypeError), and every operand must be square.  Each error names the
+constructor that was called.
 
 The Strang preconditioner copies the central diagonals of a square Toeplitz
 matrix and wraps them around; it is defined for Toeplitz input, and a
@@ -44,26 +45,13 @@ import threading
 
 import numpy as np
 
+from ._structured import as_square
 from .circulant import Circulant
 from .dft import fast_len, forward, inverse, spectrum_of
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import SingularMatrixError
 from .toeplitz import Toeplitz
 
 __all__ = ["strang", "optimal", "superoptimal", "smtcprec", "register_preconditioner"]
-
-
-def _square(A, who):
-    """The operand of the `who` preconditioner: a circulant or Toeplitz value
-    as it is, anything else as a 2-d array; either way it must be square."""
-    if not isinstance(A, (Circulant, Toeplitz)):
-        A = np.asarray(A)
-        if A.ndim != 2:
-            raise ValueError(f"the {who} preconditioner expects a matrix, got shape {A.shape}")
-    if A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError(
-            f"the {who} preconditioner requires a square matrix, got {A.shape[0]}x{A.shape[1]}"
-        )
-    return A
 
 
 def strang(T: Toeplitz | Circulant) -> Circulant:
@@ -79,7 +67,7 @@ def strang(T: Toeplitz | Circulant) -> Circulant:
         raise TypeError(
             "the Strang preconditioner is defined only for Toeplitz matrices"
         )
-    n = _square(T, "Strang").shape[0]
+    n = as_square(T, "the Strang preconditioner").shape[0]
     t = T.t
     c = np.empty(n, dtype=t.dtype)
     half = n // 2
@@ -99,7 +87,7 @@ def optimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
     """
     if isinstance(A, Circulant):
         return A
-    A = _square(A, "optimal")
+    A = as_square(A, "the optimal preconditioner")
     n = A.shape[0]
     if isinstance(A, Toeplitz):
         d = np.arange(1 - n, n)
@@ -121,7 +109,7 @@ def superoptimal(A: Toeplitz | Circulant | np.ndarray) -> Circulant:
     2^k superoptimal(A) bit for bit while neither result overflows or
     underflows.
     """
-    A = _square(A, "superoptimal")
+    A = as_square(A, "the superoptimal preconditioner")
     P = optimal(A)
     try:
         P._check_nonsingular()

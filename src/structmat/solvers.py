@@ -74,14 +74,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._structured import cyclic_reverse
+from ._structured import as_square, cyclic_reverse
 from ._util import as_operand
 from .circulant import Circulant
 from .config import Config, config_get
 from .dft import fast_len, forward, inverse
 from .errors import (
     BreakdownError,
-    DimensionMismatchError,
     RankDeficientError,
     SingularMatrixError,
     StructmatError,
@@ -178,9 +177,7 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     """
     if not isinstance(T, Toeplitz):
         raise TypeError("levinson_solve expects a Toeplitz matrix")
-    m, n = T.shape
-    if m != n:
-        raise DimensionMismatchError(f"levinson_solve requires a square matrix, got {m}x{n}")
+    n = as_square(T, "levinson_solve").shape[0]
     bv = as_operand(b, "right-hand side", n)
     a = T.t  # a[d + n - 1] holds diagonal d
     scale = np.abs(a).max()
@@ -447,26 +444,14 @@ def _cgls(T: Toeplitz, b):
     )
 
 
-def _order(A):
-    """The order of a square operator argument; None for a callable."""
-    if callable(A):
-        return None
-    shape = np.shape(A)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatchError("pcg_solve requires a square operator")
-    return shape[0]
-
-
 def _as_operator(A):
-    """The product with an operator argument, as a callable."""
+    """The product with an operator argument, a callable or what passed
+    as_square: a Toeplitz operator's at _solver_size, any other's own @."""
     if callable(A):
         return A
-    if isinstance(A, Circulant):
-        return A.matvec
     if isinstance(A, Toeplitz):
         return A._products(_solver_size(A))[0]
-    arr = np.asarray(A)
-    return lambda v: arr @ v
+    return A.__matmul__
 
 
 def _corner_split(T: Toeplitz, M: Circulant):
@@ -560,8 +545,9 @@ def pcg_solve(
     """
     if not tol > 0:  # NaN fails this too
         raise ValueError(f"tol must be positive, got {tol}")
-    order = _order(apply_A)
-    bv = as_operand(b, "right-hand side", order)
+    if not callable(apply_A):
+        apply_A = as_square(apply_A, "pcg_solve")
+    bv = as_operand(b, "right-hand side", None if callable(apply_A) else apply_A.shape[0])
     if maxit is None:
         maxit = bv.shape[0]
     if maxit < 1:

@@ -342,7 +342,7 @@ def test_pcg_validation_and_operator_forms():
         pcg_solve(T, np.ones(200), tol=float("nan"))
     with pytest.raises(ValueError):
         pcg_solve(A, b, maxit=0)
-    with pytest.raises(DimensionMismatchError, match="pcg_solve requires a square operator"):
+    with pytest.raises(DimensionMismatchError, match="pcg_solve requires a square matrix"):
         pcg_solve(np.ones((4, 3)), b)
     dense = A.full()
     x1, _ = pcg_solve(dense, b, tol=1e-12)
