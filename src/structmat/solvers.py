@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._structured import as_square, cyclic_reverse
-from ._util import as_operand
+from ._util import as_operand, require_finite
 from .circulant import Circulant
 from .config import Config, config_get
 from .dft import fast_len, forward, inverse
@@ -141,6 +141,11 @@ class SolveReport:
     flag: SolveFlag
 
 
+def _finite_rhs(b, rows):
+    """The right-hand side vector b under the operand rule, every entry finite."""
+    return require_finite(as_operand(b, "right-hand side", rows), "right-hand side")
+
+
 def _check_overdetermined(m: int, n: int) -> None:
     if m <= n:
         raise UnderdeterminedError(
@@ -157,9 +162,11 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     column f = T^-1 e_0 and last column w = T^-1 e_(n-1), by the order steps
     of the Levinson recursion.  It requires every leading principal minor to
     be (numerically) nonsingular; a vanishing step denominator raises
-    BreakdownError at that order.  The steps run in divide-and-conquer form
-    (see _order_steps): O(n LEVINSON_LEAF) work in blocks of plain steps
-    and O(n log^2 n) in the FFT merges above them.  The solution is
+    BreakdownError at that order.  At order 1 that is |t_0| at most
+    BREAKDOWN_RTOL times the largest |t_k|, a relative test, so the
+    recursion does not depend on the scale of T.  The steps run in
+    divide-and-conquer form (see _order_steps): O(n LEVINSON_LEAF) work in
+    blocks of plain steps and O(n log^2 n) in the FFT merges above them.  The solution is
     x = T^-1 b by the Gohberg-Semencul formula (see _gs_solve), refined once
     by x += T^-1 (b - T x), all with FFT products of length fast_len(2n - 1).
 
@@ -178,11 +185,10 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     if not isinstance(T, Toeplitz):
         raise TypeError("levinson_solve expects a Toeplitz matrix")
     n = as_square(T, "levinson_solve").shape[0]
-    bv = as_operand(b, "right-hand side", n)
+    bv = _finite_rhs(b, n)
     a = T.t  # a[d + n - 1] holds diagonal d
-    scale = np.abs(a).max()
     t0 = a[n - 1]
-    if abs(t0) <= BREAKDOWN_RTOL * max(1.0, scale):
+    if abs(t0) <= BREAKDOWN_RTOL * np.abs(a).max():
         raise BreakdownError(
             f"Levinson breakdown at order 1: zero leading entry; {_FALLBACK_ADVICE}")
     f, w = _inverse_generators(a, n)
@@ -394,7 +400,7 @@ def toep_lstsq(T: Toeplitz, b) -> np.ndarray:
     _check_overdetermined(m, n)
     if n < LSTSQ_DENSE_CUTOFF:
         return _dense_solve(T.full(), b)
-    return _cgls(T, as_operand(b, "right-hand side", m))
+    return _cgls(T, _finite_rhs(b, m))
 
 
 def _solver_size(T: Toeplitz) -> int:
@@ -518,11 +524,12 @@ def pcg_solve(
     """Preconditioned conjugate gradient for Hermitian positive definite
     operators.
 
-    `apply_A` may be a callable, a structured matrix, or a dense array; a
-    Toeplitz operator's products run at _solver_size (see the module
-    docstring).  A circulant preconditioner is applied by `M.solve`, which
-    raises SingularMatrixError for a singular M; b's length is checked
-    against M up front.
+    `apply_A` may be a callable, or a square matrix under as_square: a
+    structured matrix or a dense array; a Toeplitz operator's products run
+    at _solver_size (see the module docstring).  M is a Circulant or None.
+    The circulant preconditioner is applied by `M.solve`, which raises
+    SingularMatrixError for a singular M; b's length is checked against M
+    up front, and b must be finite.
 
     The solve is a run of refinement cycles.  Each cycle is one run of the
     conjugate-gradient loop _cg_cycle, which CGLS shares, from zero on the
@@ -545,9 +552,11 @@ def pcg_solve(
     """
     if not tol > 0:  # NaN fails this too
         raise ValueError(f"tol must be positive, got {tol}")
+    if M is not None and not isinstance(M, Circulant):
+        raise TypeError(f"pcg_solve's M must be a Circulant or None, got {type(M).__name__}")
     if not callable(apply_A):
         apply_A = as_square(apply_A, "pcg_solve")
-    bv = as_operand(b, "right-hand side", None if callable(apply_A) else apply_A.shape[0])
+    bv = _finite_rhs(b, None if callable(apply_A) else apply_A.shape[0])
     if maxit is None:
         maxit = bv.shape[0]
     if maxit < 1:
@@ -723,14 +732,14 @@ def _dense_solve(A: np.ndarray, b) -> np.ndarray:
     condition number tells that its answer is meaningless."""
     m, n = A.shape
     if m == n:
-        x = np.linalg.solve(A, as_operand(b, "right-hand side", m))
+        x = np.linalg.solve(A, _finite_rhs(b, m))
         with np.errstate(all="ignore"):
             cond = np.linalg.cond(A, 1)
         if not cond * np.finfo(x.dtype).eps < 1:  # written to fail on NaN
             raise SingularMatrixError(f"numerically singular: condition number {cond:.1e}")
         return x
     _check_overdetermined(m, n)
-    bv = as_operand(b, "right-hand side", m)
+    bv = _finite_rhs(b, m)
     q, r = np.linalg.qr(A)
     rd = np.abs(np.diag(r))
     if rd.min() <= LSTSQ_RDIAG_RTOL * rd.max():
@@ -812,7 +821,8 @@ def _solve(A, b, method: str = "auto", **pcg) -> tuple[np.ndarray, SolveReport]:
         return pcg_solve(A, b, **pcg)
     if method == "auto":
         x = (toep_divide(A, b) if isinstance(A, Toeplitz)
-             else A.solve(b) if isinstance(A, Circulant) else _dense_solve(A, b))
+             else A.solve(_finite_rhs(b, A.n)) if isinstance(A, Circulant)
+             else _dense_solve(A, b))
     elif not isinstance(A, Toeplitz):
         raise StructmatError(f"--method {method} requires a Toeplitz matrix file")
     else:

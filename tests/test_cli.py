@@ -315,6 +315,24 @@ def test_solve_levinson_ill_conditioned_exit_code(tmp_path, capsys, name, n):
     assert err.startswith("error: BreakdownError: Levinson backward error ")
 
 
+@pytest.mark.parametrize("method", ["auto", "pcg"])
+@pytest.mark.parametrize("kind", ["circulant", "toeplitz", "dense"])
+def test_solve_refuses_a_non_finite_right_hand_side(tmp_path, capsys, kind, method):
+    # every route of _solve reads b by one rule; without it these runs
+    # printed a numpy warning, named a Levinson overflow, or reported a
+    # converged solve with a nan residual
+    from structmat import write_matrix
+
+    T = smtgallery("tkms", 3)
+    mat, rhs = tmp_path / "A.smt", tmp_path / "b.smt"
+    write_matrix(mat, {"circulant": Circulant([4.0, 1.0, 0.5]), "toeplitz": T,
+                       "dense": T.full()}[kind])
+    write_matrix(rhs, np.array([1.0, np.inf, 1.0]))
+    code, out, err = run(capsys, "solve", str(mat), str(rhs), "--method", method)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: ValueError: right-hand side contains non-finite entries\n"
+
+
 @pytest.mark.parametrize("n", [300, 800])
 def test_solve_numerically_singular_toeplitz_exit_code(tmp_path, capsys, n):
     # tprolate with a random b passes Levinson's backward-error certificate,

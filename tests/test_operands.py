@@ -9,8 +9,12 @@ from structmat import (
     DimensionMismatchError,
     Toeplitz,
     levinson_solve,
+    optimal,
     pcg_solve,
+    smtcprec,
     solvers,
+    strang,
+    superoptimal,
     toep_divide,
     toep_lstsq,
 )
@@ -80,3 +84,56 @@ def test_a_circulant_product_of_two_orders_keeps_its_message():
     with pytest.raises(DimensionMismatchError,
                        match="^operand has leading dimension 3, expected 4$"):
         C @ Circulant([1.0, 2.0, 3.0])
+
+
+SOLVES = ["levinson_solve", "toep_lstsq", "toep_divide", "pcg_solve b", "pcg_solve M",
+          "_dense_solve"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", SOLVES)
+def test_a_non_finite_right_hand_side_raises_value_error(entry, bad):
+    call, _, rows, _, _ = ENTRIES[entry]
+    b = np.ones(rows)
+    b[1] = bad
+    with pytest.raises(ValueError, match="^right-hand side contains non-finite entries$"):
+        call(b)
+
+
+WIDE = Toeplitz.from_diagonals([1.0, 2.0, 3.0, 4.0], 2, 3)
+
+# square-matrix entry point -> (call, who, the TypeError of a dense operand
+# when the entry takes Toeplitz values only)
+SQUARE_ENTRIES = {
+    "strang": (strang, "the Strang preconditioner",
+               "the Strang preconditioner is defined only for Toeplitz matrices"),
+    "optimal": (optimal, "the optimal preconditioner", None),
+    "superoptimal": (superoptimal, "the superoptimal preconditioner", None),
+    "smtcprec": (lambda A: smtcprec("superoptimal", A), "the superoptimal preconditioner",
+                 None),
+    "levinson_solve": (lambda A: levinson_solve(A, np.ones(2)), "levinson_solve",
+                       "levinson_solve expects a Toeplitz matrix"),
+    "pcg_solve": (lambda A: pcg_solve(A, np.ones(2)), "pcg_solve", None),
+}
+
+
+@pytest.mark.parametrize("entry", SQUARE_ENTRIES)
+def test_a_square_matrix_argument_is_read_by_one_rule(entry):
+    call, who, toeplitz_only = SQUARE_ENTRIES[entry]
+    for wide in [WIDE] if toeplitz_only else [WIDE, WIDE.full()]:
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^{who} requires a square matrix, got 2x3$"):
+            call(wide)
+    text = np.full((3, 3), "a")
+    message = toeplitz_only or f"the operand of {who} must be numeric, got dtype <U1"
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call(text)
+    if not toeplitz_only:
+        with pytest.raises(ValueError, match=rf"^{who} expects a matrix, got shape \(4,\)$"):
+            call(np.ones(4))
+
+
+def test_pcg_takes_a_circulant_preconditioner_or_none():
+    with pytest.raises(TypeError,
+                       match="^pcg_solve's M must be a Circulant or None, got ndarray$"):
+        pcg_solve(T, np.ones(4), M=np.eye(4))

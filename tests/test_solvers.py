@@ -74,6 +74,20 @@ def test_levinson_breakdown_on_singular_leading_minor():
             levinson_solve(T, np.ones(T.shape[0]))
 
 
+def test_levinson_order_one_test_is_relative():
+    # t0 is compared with BREAKDOWN_RTOL times the largest entry, so a system
+    # of small entries is answered; its absolute floor refused both of these
+    T = Toeplitz([1e-13, 1e-14, 1e-15])
+    b = np.array([1.0, 2.0, 3.0])
+    assert rel_err(levinson_solve(T, b), np.linalg.solve(T.full(), b)) <= 1e-13
+    K = smtgallery("tkms", 300)
+    b = np.random.default_rng(3).standard_normal(300)
+    assert same_bits(levinson_solve(K * 2.0 ** -60, b), 2.0 ** 60 * levinson_solve(K, b))
+    message = f"Levinson breakdown at order 1: zero leading entry; {solvers._FALLBACK_ADVICE}"
+    with pytest.raises(BreakdownError, match=f"^{re.escape(message)}$"):
+        levinson_solve(Toeplitz([0.0, 0.0, 0.0]), b[:3])
+
+
 def test_levinson_shape_errors():
     T = Toeplitz.from_diagonals([1.0, 2.0, 3.0, 4.0], 2, 3)
     with pytest.raises(DimensionMismatchError):
@@ -1485,3 +1499,28 @@ def test_pcg_restart_resets_the_search_direction():
     restarts = [i for i in range(len(calls) - 1)
                 if np.array_equal(calls[i + 1][0], b - calls[i][1])]
     assert restarts
+
+
+# -- exact power-of-two scaling ------------------------------------------------
+
+
+@pytest.mark.parametrize("e", [-500, 0, 500])
+@pytest.mark.parametrize("kind", ["tkms", "complex"])
+def test_power_of_two_scaling_commutes_bit_for_bit(kind, e):
+    # f(2^e A) == 2^e f(A) bit for bit, and Levinson's and a circulant
+    # solve's x scales by 2^-e (superoptimal has its own test).  Corner-path
+    # PCG is left out on purpose: _corner_split zeroes entries below the
+    # smallest normal double, an absolute threshold, so that its block
+    # products stay fast.
+    rng = np.random.default_rng(34)
+    n = 300
+    T = smtgallery("tkms", n) if kind == "tkms" else dominant_toeplitz(rng, n)
+    C = optimal(T)
+    x = rng.standard_normal(n)
+    s = 2.0 ** e
+    assert same_bits(strang(s * T).col, s * strang(T).col)
+    assert same_bits(optimal(s * T).col, s * C.col)
+    assert same_bits((s * T) @ x, s * (T @ x))
+    assert same_bits((s * C) @ x, s * (C @ x))
+    assert same_bits((s * C).solve(x), C.solve(x) / s)
+    assert same_bits(levinson_solve(s * T, x), levinson_solve(T, x) / s)
