@@ -166,9 +166,10 @@ def levinson_solve(T: Toeplitz, b) -> np.ndarray:
     BREAKDOWN_RTOL times the largest |t_k|, a relative test, so the
     recursion does not depend on the scale of T.  The steps run in
     divide-and-conquer form (see _order_steps): O(n LEVINSON_LEAF) work in
-    blocks of plain steps and O(n log^2 n) in the FFT merges above them.  The solution is
-    x = T^-1 b by the Gohberg-Semencul formula (see _gs_solve), refined once
-    by x += T^-1 (b - T x), all with FFT products of length fast_len(2n - 1).
+    blocks of plain steps and O(n log^2 n) in the FFT merges above them.
+    The solution is x = T^-1 b by the Gohberg-Semencul formula (see
+    _gs_solve), refined once by x += T^-1 (b - T x), all with FFT products
+    of length fast_len(2n - 1).
 
     The answer carries a certificate: its normwise backward error
     ||b - T x||_1 / (||T||_1 ||x||_1 + ||b||_1) must not exceed
